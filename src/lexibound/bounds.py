@@ -34,6 +34,9 @@ __all__ = [
     "reports_to_json",
 ]
 
+# Largest epsilon grid parse_epsilon_grid builds; each point costs a clique search.
+_GRID_MAX_POINTS = 10_000
+
 _REPORT_FIELDS = (
     "epsilon",
     "delta",
@@ -91,12 +94,10 @@ def parse_epsilon_grid(spec: str) -> tuple[Fraction, ...]:
         raise ValueError(f"invalid grid {spec!r}: {exc}") from exc
     if step <= 0 or start <= 0 or stop < start or stop > 1:
         raise ValueError(f"grid {spec!r} must satisfy 0 < start <= stop <= 1, step > 0")
-    values = []
-    current = start
-    while current <= stop:
-        values.append(current)
-        current += step
-    return tuple(values)
+    count = (stop - start) // step + 1
+    if count > _GRID_MAX_POINTS:
+        raise ValueError(f"grid {spec!r} has {count} points; at most {_GRID_MAX_POINTS} are allowed")
+    return tuple(start + i * step for i in range(count))
 
 
 def sweep(

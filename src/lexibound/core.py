@@ -25,6 +25,7 @@ __all__ = [
     "DedupProfile",
     "RandomSource",
     "RngStream",
+    "randbelow_array",
     "deduplicate",
     "identity_profile",
     "exact_fraction",
@@ -268,6 +269,42 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# The same finalizer over uint64 arrays, whose multiplication wraps mod 2^64.
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MAX_U64 = np.uint64(_MASK64)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def randbelow_array(states: np.ndarray, bound) -> np.ndarray:
+    """:meth:`RandomSource.randbelow` for many sources at once.
+
+    ``states`` holds one splitmix64 state per source and advances in place;
+    ``bound`` is one int in [1, 2^63) for every source or an int array
+    aligned with ``states``. Each source draws exactly the values its scalar
+    :class:`RandomSource` would, rejections included.
+    """
+    bound = np.asarray(bound, dtype=np.uint64)
+    # Largest accepted draw: 2^64 - (2^64 mod n) - 1, without leaving uint64.
+    top = _MAX_U64 - (_MAX_U64 % bound + np.uint64(1)) % bound
+    states += _GOLDEN_U64
+    draws = _mix64_array(states)
+    redo = np.flatnonzero(draws > top)
+    while redo.size:
+        states[redo] += _GOLDEN_U64
+        draws[redo] = _mix64_array(states[redo])
+        redo = redo[draws[redo] > (top if top.ndim == 0 else top[redo])]
+    draws %= bound
+    return draws.astype(np.intp)
+
+
 class RandomSource:
     """Mutable splitmix64 generator; one instance per selection event/trial.
 
@@ -321,6 +358,13 @@ class RngStream:
         child = _mix64(_mix64(self.stream_index & _MASK64) ^ (index & _MASK64))
         return RngStream(self.master_seed, child)
 
+    def substream_states(self, start: int, stop: int) -> np.ndarray:
+        """Initial states of ``substream(i).source()`` for i in [start, stop),
+        as a uint64 array (see :func:`randbelow_array`)."""
+        index = np.arange(start, stop, dtype=np.uint64)
+        child = _mix64_array(index ^ np.uint64(_mix64(self.stream_index & _MASK64)))
+        return _mix64_array(child ^ np.uint64(_mix64(self.master_seed & _MASK64)))
+
 
 # ---------------------------------------------------------------------------
 # CSV interchange format
@@ -341,6 +385,8 @@ def _is_int_literal(cell: str) -> bool:
 
 
 def _is_float_literal(cell: str) -> bool:
+    if "_" in cell:  # float() reads Python's digit separators: "1_0" is 10.0
+        return False
     try:
         float(cell)
         return True
@@ -356,6 +402,8 @@ def _sidecar_kind(path: Path) -> LossKind | None:
         descriptor = json.loads(sidecar.read_text())
     except json.JSONDecodeError as exc:
         raise MatrixError(f"{sidecar}: invalid JSON descriptor: {exc}") from exc
+    if not isinstance(descriptor, dict):
+        raise MatrixError(f"{sidecar}: descriptor must be a JSON object, got {type(descriptor).__name__}")
     kind = descriptor.get("kind")
     if kind not in ("discrete", "real"):
         raise MatrixError(f"{sidecar}: descriptor kind must be 'discrete' or 'real', got {kind!r}")
@@ -373,7 +421,10 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
         text = path.read_text()
     except OSError as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()  # trailing blank lines end the file; blank lines inside it are errors
+    rows = list(csv.reader(lines))
     if not rows:
         raise MatrixError(f"{path}: empty file")
 

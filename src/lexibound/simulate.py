@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DedupProfile, RngStream
-from .engine import lexicase_select
+from .engine import lexicase_select  # noqa: F401  (the scalar reference stays reachable here)
+from .engine import run_trials
 
 __all__ = [
     "RunStats",
@@ -61,31 +62,20 @@ class RunStats:
 def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunStats:
     """Run ``trials`` independent selections (substreams 0..trials-1) and
     aggregate evaluation counts and the pool-size trajectory."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     total = 0
     total_sq = 0
     lo = None
     hi = None
     iterations = 0
-    step_sums: list[int] = []
-    step_counts: list[int] = []
-    for i in range(trials):
-        trace = lexicase_select(profile, rng.substream(i))
-        m = trace.evaluations
-        total += m
-        total_sq += m * m
-        lo = m if lo is None or m < lo else lo
-        hi = m if hi is None or m > hi else hi
-        iterations += len(trace.case_order)
-        sizes = trace.pool_sizes
-        if len(sizes) > len(step_sums):
-            grow = len(sizes) - len(step_sums)
-            step_sums.extend([0] * grow)
-            step_counts.extend([0] * grow)
-        for t, x in enumerate(sizes):
-            step_sums[t] += x
-            step_counts[t] += 1
+    columns: list[tuple[np.ndarray, int]] = []  # per block: pool-size column sums, trials
+    for block in run_trials(profile, trials, rng):
+        m = block.evaluations
+        total += int(m.sum())
+        total_sq += sum((m * m).tolist())  # exact: m <= N * C, so m * m fits int64
+        lo = int(m.min()) if lo is None else min(lo, int(m.min()))
+        hi = int(m.max()) if hi is None else max(hi, int(m.max()))
+        iterations += int(block.steps.sum())
+        columns.append((block.pool_sizes.sum(axis=0), len(m)))
 
     mean = total / trials
     if trials > 1:
@@ -93,28 +83,25 @@ def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunS
         std_error = math.sqrt(max(variance, 0.0)) / math.sqrt(trials)
     else:
         std_error = 0.0
-    profile_means = tuple(
-        (step_sums[t] + (trials - step_counts[t])) / trials for t in range(len(step_sums))
-    )
+    # Trials of a block with fewer columns are absorbed at pool size 1.
+    width = max(len(sums) for sums, _ in columns)
+    profile_sums = sum(np.pad(sums, (0, width - len(sums)), constant_values=n) for sums, n in columns)
     return RunStats(
         trials=trials,
         mean_evaluations=mean,
         std_error=std_error,
-        min_evaluations=int(lo),
-        max_evaluations=int(hi),
+        min_evaluations=lo,
+        max_evaluations=hi,
         mean_iterations=iterations / trials,
-        pool_size_profile=profile_means,
+        pool_size_profile=tuple(x / trials for x in profile_sums.tolist()),
     )
 
 
 def selection_distribution(profile: DedupProfile, trials: int, rng: RngStream) -> np.ndarray:
     """Empirical winner frequency per original individual (sums to 1)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     counts = np.zeros(profile.n_original, dtype=np.int64)
-    for i in range(trials):
-        trace = lexicase_select(profile, rng.substream(i))
-        counts[trace.winner_original_index] += 1
+    for block in run_trials(profile, trials, rng):
+        counts += np.bincount(block.winner_original, minlength=profile.n_original)
     return counts / trials
 
 
@@ -189,26 +176,25 @@ def drift_check(
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     floor = 2 * k
-    acc: dict[int, list[int]] = {}
-    for i in range(trials):
-        trace = lexicase_select(profile, rng.substream(i))
-        sizes = trace.pool_sizes
-        for t in range(len(sizes) - 1):
-            x = sizes[t]
-            if x >= floor:
-                stats = acc.get(x)
-                if stats is None:
-                    stats = [0, 0, 0]
-                    acc[x] = stats
-                y = sizes[t + 1]
-                stats[0] += 1
-                stats[1] += y
-                stats[2] += y * y
+    n = profile.n_unique
+    counts = np.zeros(n + 1, dtype=np.int64)
+    totals = np.zeros(n + 1, dtype=np.int64)
+    totals_sq = np.zeros(n + 1, dtype=np.int64)
+    for block in run_trials(profile, trials, rng):
+        # Past the end of a trace pool sizes read 1 < floor, so every
+        # transition counted here is one that the selection made.
+        x = block.pool_sizes[:, :-1]
+        counted = x >= floor
+        x = x[counted]
+        y = block.pool_sizes[:, 1:][counted].astype(np.int64)
+        counts += np.bincount(x, minlength=n + 1)
+        np.add.at(totals, x, y)
+        np.add.at(totals_sq, x, y * y)
 
     factor = 1.0 - eps / 4.0
     table = []
-    for x in sorted(acc):
-        count, total, total_sq = acc[x]
+    for x in np.flatnonzero(counts).tolist():
+        count, total, total_sq = int(counts[x]), int(totals[x]), int(totals_sq[x])
         mean = total / count
         if count > 1:
             variance = (total_sq - count * mean * mean) / (count - 1)

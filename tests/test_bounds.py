@@ -54,6 +54,16 @@ class TestGrid:
         assert grid == default_epsilon_grid()
         assert parse_epsilon_grid("0.25:0.25:0.05") == (Fraction(1, 4),)
 
+    def test_parse_counts_points_exactly(self):
+        assert len(parse_epsilon_grid("0.1:0.3:0.1")) == 3
+        assert parse_epsilon_grid("0.1:0.35:0.1")[-1] == Fraction(3, 10)
+
+    def test_parse_rejects_oversized_grid_before_building_it(self):
+        # 10^7 points; building them would take tens of seconds
+        with pytest.raises(ValueError, match="10000000 points"):
+            parse_epsilon_grid("1e-7:1:1e-7")
+        assert len(parse_epsilon_grid("1e-4:1:1e-4")) == 10_000
+
     def test_parse_rejects_malformed(self):
         for bad in ("0.1:0.5", "a:b:c", "0:0.5:0.1", "0.5:0.1:0.1", "0.1:1.5:0.1", "0.1:0.5:0"):
             with pytest.raises(ValueError):

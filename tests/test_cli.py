@@ -96,6 +96,20 @@ class TestAnalyze:
         assert "--delta" in capsys.readouterr().err
         assert run(["analyze", str(real), "--delta", "0.1"]) == 0
 
+    def test_sidecar_not_an_object_exits_2(self, tmp_path, capsys):
+        matrix_path = tmp_path / "m.csv"
+        matrix_path.write_text("0,1\n1,0\n")
+        (tmp_path / "m.csv.json").write_text("[1]")
+        assert run(["analyze", str(matrix_path)]) == 2
+        err = capsys.readouterr().err
+        assert "m.csv.json" in err and "Traceback" not in err
+
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        matrix_path = tmp_path / "m.csv"
+        matrix_path.write_text("0,1\n1,0\n")
+        assert run(["analyze", str(matrix_path), "--epsilon-grid", "1e-7:1:1e-7"]) == 2
+        assert "10000000 points" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.csv")]) == 2
 

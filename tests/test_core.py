@@ -220,6 +220,45 @@ class TestCsv:
         with pytest.raises(MatrixError, match="line 2"):
             read_matrix_csv(path)
 
+    def test_sidecar_not_an_object(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        (tmp_path / "m.csv.json").write_text("[1]")
+        with pytest.raises(MatrixError, match=r"m\.csv\.json: descriptor must be a JSON object"):
+            read_matrix_csv(path)
+
+    def test_trailing_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"case_0,case_1\n0,1\n1,0\n\n")
+        assert read_matrix_csv(path).losses.tolist() == [[0, 1], [1, 0]]
+        path.write_bytes(b"0,1\n1,0\n\n  \n")
+        assert read_matrix_csv(path).losses.tolist() == [[0, 1], [1, 0]]
+
+    def test_trailing_blank_lines_ignored_crlf(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"case_0,case_1\r\n0,1\r\n1,0\r\n\r\n")
+        back = read_matrix_csv(path)
+        assert back.case_labels == ("case_0", "case_1")
+        assert back.losses.tolist() == [[0, 1], [1, 0]]
+
+    def test_inner_blank_line_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0,1\n\n1,0\n")
+        with pytest.raises(MatrixError, match="line 2: expected 2 cells, got 0"):
+            read_matrix_csv(path)
+        path.write_bytes(b"0,1\r\n\r\n1,0\r\n\r\n")
+        with pytest.raises(MatrixError, match="line 2: expected 2 cells, got 0"):
+            read_matrix_csv(path)
+
+    def test_underscore_numeral_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("case_0,case_1\n0,1\n1_0,0\n")
+        with pytest.raises(MatrixError, match="line 3: cell 1 is not a number: '1_0'"):
+            read_matrix_csv(path)
+        path.write_text("0,1\n2,1_000.5\n")
+        with pytest.raises(MatrixError, match="line 2: cell 2 is not a number"):
+            read_matrix_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("")

@@ -9,6 +9,7 @@ from lexibound.engine import (
     downsample_cases,
     lexicase_select,
     mad_thresholds,
+    run_trials,
     select_parents,
     static_epsilon_binarize,
 )
@@ -118,6 +119,112 @@ class TestLexicaseSelect:
             engine._elite_slack = 0
         # with slack 1 every loss passes the filter, so non-dominated rows win too
         assert set(corrupted) != {baseline.winner_unique_index}
+
+
+def runner_traces(prof, trials, rng, slack=0, block_trials=None):
+    """Every trial of run_trials as a SelectionTrace, with the elite slack and
+    the block size set for the call."""
+    saved = engine._elite_slack, engine._BLOCK_TRIALS
+    engine._elite_slack = slack
+    if block_trials is not None:
+        engine._BLOCK_TRIALS = block_trials
+    try:
+        blocks = list(run_trials(prof, trials, rng))
+    finally:
+        engine._elite_slack, engine._BLOCK_TRIALS = saved
+    assert sum(len(b.steps) for b in blocks) == trials
+    return [trace for block in blocks for trace in block.traces()]
+
+
+def scalar_traces(prof, trials, rng, slack=0):
+    engine._elite_slack = slack
+    try:
+        return [lexicase_select(prof, rng.substream(i)) for i in range(trials)]
+    finally:
+        engine._elite_slack = 0
+
+
+@st.composite
+def profiles_with_clones(draw):
+    """Discrete profiles whose rows repeat, over narrow or wide loss ranges."""
+    n_cases = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([1, 3, 200, 70_000, 2**40]))
+    # losses next to the limits of the integer types the runner narrows to
+    edges = st.sampled_from([-129, -128, 0, 125, 126, 127, 32766, 32767, 2**31 - 2, 2**53])
+    cell = st.integers(-bound, bound) | edges
+    row = st.lists(cell, min_size=n_cases, max_size=n_cases)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    copies = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    order = draw(st.permutations(range(sum(copies))))
+    expanded = [r for r, k in zip(rows, copies) for _ in range(k)]
+    return deduplicate(dmatrix([expanded[i] for i in order]))
+
+
+class TestRunTrials:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prof=profiles_with_clones(),
+        trials=st.integers(1, 40),
+        block_trials=st.integers(1, 7),
+        slack=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_lexicase_select_per_trial(self, prof, trials, block_trials, slack, seed, stream):
+        rng = RngStream(seed, stream)
+        expected = scalar_traces(prof, trials, rng, slack)
+        assert runner_traces(prof, trials, rng, slack, block_trials) == expected
+
+    def test_single_unique_row(self):
+        prof = profile([[3, 1], [3, 1], [3, 1]])
+        traces = runner_traces(prof, 25, RngStream(4), block_trials=4)
+        assert traces == scalar_traces(prof, 25, RngStream(4))
+        assert {t.winner_original_index for t in traces} == {0, 1, 2}
+        assert all(t.pool_sizes == (1,) and t.evaluations == 0 for t in traces)
+
+    def test_single_case(self):
+        prof = profile([[2], [0], [1], [0]])
+        for slack in (0, 1):
+            traces = runner_traces(prof, 30, RngStream(8), slack, block_trials=7)
+            assert traces == scalar_traces(prof, 30, RngStream(8), slack)
+
+    def test_losses_at_the_narrow_type_limit(self):
+        # after case 0 drops row 2, case 1 ties rows 0 and 1 at 127, the
+        # int8 maximum; row 2 must stay out of the pool
+        prof = profile([[0, 127, 5], [0, 127, 6], [1, 0, 0]])
+        for slack in (0, 1):
+            traces = runner_traces(prof, 60, RngStream(2), slack)
+            assert traces == scalar_traces(prof, 60, RngStream(2), slack)
+
+    def test_cases_exhausted(self):
+        # with slack 1 no filter separates [0, 1] from [1, 0], so the cases
+        # run out and the winner is drawn from the remaining pool
+        prof = profile([[0, 1], [1, 0], [0, 1], [5, 5]])
+        traces = runner_traces(prof, 200, RngStream(3), slack=1, block_trials=64)
+        assert traces == scalar_traces(prof, 200, RngStream(3), slack=1)
+        exhausted = [t for t in traces if t.pool_sizes[-1] > 1]
+        assert exhausted and all(len(t.case_order) == 2 for t in exhausted)
+        assert {t.winner_unique_index for t in exhausted} == {0, 1}
+
+    @pytest.mark.parametrize("trials", [1, 2, 63, 64, 65, 130])
+    def test_trial_counts_around_the_block_size(self, trials):
+        prof = profile(random_rows(11, 9, 5, 3))
+        expected = scalar_traces(prof, trials, RngStream(6, 2))
+        assert runner_traces(prof, trials, RngStream(6, 2), block_trials=64) == expected
+
+    def test_block_size_never_changes_results(self):
+        prof = profile(random_rows(12, 12, 6, 2))
+        baseline = runner_traces(prof, 300, RngStream(1))
+        for block_trials in (1, 17, 299, 300, 301):
+            assert runner_traces(prof, 300, RngStream(1), block_trials=block_trials) == baseline
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_trials(profile([[0, 1]]), 0, RngStream(0))
+        from lexibound.core import identity_profile
+
+        with pytest.raises(KindMismatchError):
+            run_trials(identity_profile(rmatrix([[0.5], [1.5]])), 1, RngStream(0))
 
 
 class TestSelectParents:
