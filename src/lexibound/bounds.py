@@ -120,9 +120,12 @@ def sweep(
     distances = pairwise_distance_matrix(profile.unique, delta)
     worst_case = float(n * c)
     reports = []
+    # Edges only join as eps grows: a clique found at a smaller eps stays one.
+    lower, previous = 1, grid[0]
     for eps in grid:
         graph = graph_from_distances(distances, c, eps, delta)
-        result = clique_number(graph, node_budget)
+        result = clique_number(graph, node_budget, lower_bound=lower if eps >= previous else 1)
+        lower, previous = result.alpha_lower, eps
         k = result.k_upper
         term_pool = float(Fraction(4 * n) / eps)
         term_cases = float(2 * k * c)

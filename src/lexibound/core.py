@@ -371,9 +371,10 @@ class RngStream:
 # ---------------------------------------------------------------------------
 #
 # One matrix per file: an optional first header row (case_0,case_1,...), then
-# one row of decimal numbers per individual. A sidecar descriptor at
-# <file>.json may declare {"kind": "discrete"|"real"}; without it, the kind
-# defaults to discrete when every cell parses as an integer literal.
+# one row of decimal numbers per individual. The first row is a header only
+# when none of its cells is a number, so a typo in a data row is an error. A
+# sidecar descriptor at <file>.json may declare {"kind": "discrete"|"real"};
+# without it, the kind defaults to discrete when every cell is an integer literal.
 
 
 def _is_int_literal(cell: str) -> bool:
@@ -431,7 +432,7 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
     case_labels = None
     start_line = 1
     first = [cell.strip() for cell in rows[0]]
-    if not all(_is_float_literal(cell) for cell in first):
+    if not any(_is_float_literal(cell) for cell in first):
         case_labels = tuple(first)
         start_line = 2
         rows = rows[1:]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,26 +182,41 @@ def build_similarity_graph(profile: DedupProfile, epsilon, delta=None) -> Simila
 
 # ---------------------------------------------------------------------------
 # Exact maximum clique: branch and bound on bitsets with greedy-coloring
-# pruning and degeneracy preordering.
+# pruning and degeneracy preordering, started from a known clique.
 # ---------------------------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _adjacency_bitsets(adjacency: np.ndarray) -> list[int]:
+def _union_of_cliques_alpha(adjacency: np.ndarray) -> int | None:
+    """Largest clique size if the graph is a disjoint union of cliques, else None
+    (1 for no vertices). It is one iff u, v are adjacent or equal exactly when
+    their closed neighbourhoods have the same lowest vertex."""
     n = adjacency.shape[0]
-    bits = []
-    for i in range(n):
-        packed = np.packbits(adjacency[i], bitorder="little").tobytes()
-        bits.append(int.from_bytes(packed, "little"))
-    return bits
+    if n == 0:
+        return 1
+    closed = adjacency | np.eye(n, dtype=bool)
+    label = closed.argmax(axis=1)
+    if not (closed == (label[:, None] == label[None, :])).all():
+        return None
+    return int(np.bincount(label).max())
 
 
-def _degeneracy_order(adj: list[int], n: int) -> list[int]:
-    """Vertex order by repeatedly removing a minimum-degree vertex (bucket queue)."""
-    degree = [adj[v].bit_count() for v in range(n)]
+def _greedy_clique(adjacency: np.ndarray) -> int:
+    """Size of a clique grown by repeatedly taking the highest-degree candidate."""
+    degree = adjacency.sum(axis=1)
+    candidates = np.ones(adjacency.shape[0], dtype=bool)
+    size = 0
+    while candidates.any():
+        candidates &= adjacency[np.argmax(np.where(candidates, degree, -1))]
+        size += 1
+    return size
+
+
+def _degeneracy_order(adjacency: np.ndarray) -> list[int]:
+    """Vertex order by repeatedly removing a minimum-degree vertex (bucket queue);
+    neighbours are visited in ascending index, which fixes what ``pop`` returns."""
+    neighbours = [np.flatnonzero(row).tolist() for row in adjacency]
+    degree = [len(nbrs) for nbrs in neighbours]
+    n = len(degree)
     max_deg = max(degree, default=0)
     buckets: list[set[int]] = [set() for _ in range(max_deg + 1)]
     for v in range(n):
@@ -216,11 +230,7 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
         v = buckets[d].pop()
         removed[v] = True
         order.append(v)
-        nbrs = adj[v]
-        while nbrs:
-            low = nbrs & -nbrs
-            u = low.bit_length() - 1
-            nbrs ^= low
+        for u in neighbours[v]:
             if not removed[u]:
                 buckets[degree[u]].discard(u)
                 degree[u] -= 1
@@ -230,21 +240,11 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
     return order
 
 
-def _reorder(adj: list[int], order: list[int]) -> list[int]:
-    n = len(order)
-    position = [0] * n
-    for new, old in enumerate(order):
-        position[old] = new
-    new_adj = [0] * n
-    for old in range(n):
-        mask = adj[old]
-        rel = 0
-        while mask:
-            low = mask & -mask
-            rel |= 1 << position[low.bit_length() - 1]
-            mask ^= low
-        new_adj[position[old]] = rel
-    return new_adj
+def _bitsets(adjacency: np.ndarray) -> list[int]:
+    """Each row as an int whose bit j is set iff the row's column j is."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
 
 
 def _color_sort(candidates: int, adj: list[int]) -> tuple[list[int], list[int]]:
@@ -269,81 +269,76 @@ def _color_sort(candidates: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, colors
 
 
-class _CliqueSearch:
-    __slots__ = ("adj", "budget", "nodes", "best_size")
-
-    def __init__(self, adj: list[int], budget: int):
-        self.adj = adj
-        self.budget = budget
-        self.nodes = 0
-        self.best_size = 0
-
-    def run(self, n: int) -> None:
-        if n == 0:
-            return
-        self.best_size = 1  # any single vertex is a clique
-        self._expand(0, (1 << n) - 1)
-
-    def _expand(self, size: int, candidates: int) -> None:
-        adj = self.adj
-        order, colors = _color_sort(candidates, adj)
-        live = candidates
-        for idx in range(len(order) - 1, -1, -1):
-            if size + colors[idx] <= self.best_size:
-                return  # coloring bound prunes this and all earlier vertices
-            v = order[idx]
-            bit = 1 << v
-            if not (live & bit):
-                continue
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _BudgetExhausted
-            rest = live & adj[v]
-            if rest:
-                self._expand(size + 1, rest)
-            elif size + 1 > self.best_size:
-                self.best_size = size + 1
-            live ^= bit
+def _search(
+    adj: list[int], order: list[int], colors: list[int], best: int, budget: int
+) -> tuple[int, int, bool]:
+    """Depth-first branch and bound from the root's color-sorted vertices and a
+    known clique of size ``best``, on an explicit stack of frames that try
+    vertices from the highest color down; returns (best, nodes, exhausted)."""
+    stack = []
+    size, idx, live = 0, len(order), (1 << len(order)) - 1
+    nodes = 0
+    while True:
+        if idx == 0 or size + colors[idx - 1] <= best:
+            if not stack:
+                return best, nodes, False
+            size, order, colors, idx, live = stack.pop()
+            continue
+        idx -= 1
+        v = order[idx]
+        nodes += 1
+        if nodes > budget:
+            return best, nodes, True
+        rest = live & adj[v]
+        live ^= 1 << v
+        if rest:
+            stack.append((size, order, colors, idx, live))
+            order, colors = _color_sort(rest, adj)
+            size, idx, live = size + 1, len(order), rest
+        elif size + 1 > best:
+            best = size + 1
 
 
-def clique_number(graph: SimilarityGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> SimilarityResult:
+def clique_number(
+    graph: SimilarityGraph, node_budget: int = DEFAULT_NODE_BUDGET, *, lower_bound: int = 1
+) -> SimilarityResult:
     """Exact clique number by branch and bound, or a sound bracket on budget.
 
-    Vertices are preordered by degeneracy; each node is pruned with a greedy
-    coloring bound. When the budget runs out the result brackets the true
-    value: the best clique found below, the root coloring bound above.
+    A disjoint union of cliques is answered directly, with no search.
+    Otherwise vertices are preordered by degeneracy and each node is pruned
+    with a greedy coloring bound. The search starts from the larger of a
+    greedy clique and ``lower_bound``, the size of a clique known to be in
+    the graph (the sweep passes the one found at the previous, smaller
+    epsilon). A larger start only prunes, so it never widens the bracket or
+    adds nodes. When the budget runs out the result brackets the true value:
+    the best clique found below, the root coloring bound above.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n = graph.n_vertices
-    bits = _adjacency_bitsets(graph.adjacency)
-    order = _degeneracy_order(bits, n)
-    adj = _reorder(bits, order)
-
-    _, root_colors = _color_sort((1 << n) - 1, adj)
-    coloring_bound = max(root_colors, default=1)
-
-    depth_guard = n + 512
-    if sys.getrecursionlimit() < depth_guard:
-        sys.setrecursionlimit(depth_guard)
-
-    search = _CliqueSearch(adj, node_budget)
-    try:
-        search.run(n)
-        alpha_lower = alpha_upper = max(search.best_size, 1)
-        exhausted = False
-    except _BudgetExhausted:
-        alpha_lower = max(search.best_size, 1)
-        alpha_upper = max(coloring_bound, alpha_lower)
-        exhausted = True
-
+    if not 1 <= lower_bound <= max(n, 1):
+        raise ValueError(f"lower_bound must be in [1, {max(n, 1)}], got {lower_bound}")
+    alpha = _union_of_cliques_alpha(graph.adjacency)
+    nodes, exhausted = 0, False
+    if alpha is not None:
+        lower = upper = alpha
+    else:
+        order = _degeneracy_order(graph.adjacency)
+        adj = _bitsets(graph.adjacency[np.ix_(order, order)])
+        root_order, root_colors = _color_sort((1 << n) - 1, adj)
+        upper = max(root_colors)
+        lower = max(lower_bound, _greedy_clique(graph.adjacency))
+        if lower < upper:
+            lower, nodes, exhausted = _search(adj, root_order, root_colors, lower, node_budget)
+        if not exhausted:
+            upper = lower
     return SimilarityResult(
         epsilon=graph.epsilon,
         delta=graph.delta,
-        alpha_lower=alpha_lower,
-        alpha_upper=alpha_upper,
+        alpha_lower=lower,
+        alpha_upper=upper,
         exact=not exhausted,
-        search_nodes=search.nodes,
+        search_nodes=nodes,
         budget_exhausted=exhausted,
     )
 

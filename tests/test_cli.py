@@ -83,6 +83,13 @@ class TestAnalyze:
         assert run(["analyze", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_headerless_first_row_typo_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,oops\n1,0\n2,2\n")
+        assert run(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: cell 2 is not a number" in err and "Traceback" not in err
+
     def test_require_exact_budget_exit_3(self, tmp_path):
         matrix_path = tmp_path / "dense.csv"
         write_matrix_csv(gen_random_uniform(30, 6, 2, RngStream(3)), matrix_path)

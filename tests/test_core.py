@@ -214,6 +214,16 @@ class TestCsv:
         with pytest.raises(MatrixError, match="line 3"):
             read_matrix_csv(path)
 
+    def test_first_row_with_a_number_is_data(self, tmp_path):
+        # a typo in a headerless file's first row must not turn it into a header
+        path = tmp_path / "m.csv"
+        path.write_text("0,oops\n1,0\n2,2\n")
+        with pytest.raises(MatrixError, match="line 1: cell 2 is not a number: 'oops'"):
+            read_matrix_csv(path)
+        path.write_text("case_0,7\n0,1\n")
+        with pytest.raises(MatrixError, match="line 1: cell 1 is not a number: 'case_0'"):
+            read_matrix_csv(path)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1\n0,1,2\n")

@@ -19,6 +19,7 @@ from lexibound.diversity import (
     phenotypic_distance,
     similarity_bruteforce,
 )
+from lexibound import bounds
 from lexibound.bounds import default_epsilon_grid
 from conftest import dmatrix, profile, random_rows, rmatrix
 
@@ -175,6 +176,94 @@ class TestCliqueNumber:
         g = SimilarityGraph(2, np.zeros((2, 2), bool), 0.5, 0.0)
         with pytest.raises(ValueError):
             clique_number(g, node_budget=0)
+
+
+def _graph(adjacency) -> SimilarityGraph:
+    return SimilarityGraph(adjacency.shape[0], adjacency, 0.5, 0.0)
+
+
+def _union_of_cliques(labels) -> np.ndarray:
+    adjacency = np.equal.outer(labels, labels)
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+@st.composite
+def small_graphs(draw, max_n=14):
+    """Random, union-of-cliques, complete and empty graphs, 0 vertices included."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["random", "cliques", "complete", "empty"]))
+    if kind == "cliques":
+        return _union_of_cliques(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    if kind == "complete":
+        return ~np.eye(n, dtype=bool)
+    adjacency = np.zeros((n, n), dtype=bool)
+    if kind == "random":
+        pairs = n * (n - 1) // 2
+        adjacency[np.triu_indices(n, 1)] = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+        adjacency |= adjacency.T
+    return adjacency
+
+
+class TestCliqueSearchProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    def test_exact_and_equal_to_subset_oracle(self, adjacency):
+        res = clique_number(_graph(adjacency))
+        assert res.exact and not res.budget_exhausted
+        assert res.alpha_lower == res.alpha_upper == brute_force_alpha(adjacency)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=40))
+    def test_union_of_cliques_needs_no_search(self, labels):
+        res = clique_number(_graph(_union_of_cliques(labels)), node_budget=1)
+        assert res.exact and res.search_nodes == 0
+        assert res.alpha_lower == max([labels.count(x) for x in labels], default=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.integers(1, 40), st.data())
+    def test_lower_bound_never_widens_bracket(self, adjacency, budget, data):
+        graph = _graph(adjacency)
+        truth = brute_force_alpha(adjacency)
+        cold = clique_number(graph, node_budget=budget)
+        warm = clique_number(graph, node_budget=budget, lower_bound=data.draw(st.integers(1, truth)))
+        assert cold.alpha_lower <= warm.alpha_lower <= truth <= warm.alpha_upper <= cold.alpha_upper
+        assert warm.search_nodes <= cold.search_nodes
+        assert warm.exact or not cold.exact
+
+    def test_rejects_bad_lower_bound(self):
+        g = _graph(np.zeros((3, 3), bool))
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match="lower_bound"):
+                clique_number(g, lower_bound=bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 2), min_size=6, max_size=6), min_size=1, max_size=14),
+        st.lists(st.sampled_from(default_epsilon_grid()), min_size=1, max_size=12),
+    )
+    def test_sweep_equals_independent_calls(self, rows, grid):
+        prof = profile(rows)
+        for epsilons in (sorted(grid), sorted(grid, reverse=True)):
+            for report, eps in zip(bounds.sweep(prof, epsilons), epsilons):
+                res = clique_number(build_similarity_graph(prof, eps))
+                assert (report.k, report.exact_k) == (res.k, res.exact)
+
+    def test_sweep_warm_starts_each_call(self, monkeypatch):
+        # one call per epsilon, graph first, lower bound from the previous
+        # call only while epsilon does not fall
+        calls = []
+
+        def recording(graph, node_budget, *, lower_bound):
+            result = clique_number(graph, node_budget, lower_bound=lower_bound)
+            calls.append((graph, lower_bound, result.alpha_lower))
+            return result
+
+        monkeypatch.setattr(bounds, "clique_number", recording)
+        grid = [Fraction(1, 10), Fraction(3, 10), Fraction(6, 10), Fraction(2, 10)]
+        bounds.sweep(profile(random_rows(81, 12, 8, 2)), grid)
+        assert len(calls) == len(grid) and all(isinstance(g, SimilarityGraph) for g, _, _ in calls)
+        assert [lb for _, lb, _ in calls] == [1, calls[0][2], calls[1][2], 1]
 
 
 class TestEpsilonClusterSimilarity:

@@ -75,14 +75,15 @@ class TestEstimateRuntime:
         # cases appears: mean position (c+1)/(b+1)
         n, c = 8, 64
         prof = deduplicate(gen_log_binary(n, c))
-        rng = RngStream(3)
         positions = []
-        from lexibound.engine import lexicase_select
+        from lexibound.engine import run_trials
 
-        for i in range(20_000):
-            sizes = lexicase_select(prof, rng.substream(i)).pool_sizes
-            first = next(t for t in range(1, len(sizes)) if sizes[t] < sizes[0])
-            positions.append(first)
+        # trial i is lexicase_select(prof, RngStream(3).substream(i)); rows are
+        # padded with pool size 1 past a trace's end, after its first shrink
+        for block in run_trials(prof, 20_000, RngStream(3)):
+            for sizes in block.pool_sizes.tolist():
+                first = next(t for t in range(1, len(sizes)) if sizes[t] < sizes[0])
+                positions.append(first)
         mean = sum(positions) / len(positions)
         se = np.std(positions, ddof=1) / math.sqrt(len(positions))
         assert abs(mean - (c + 1) / (3 + 1)) <= 3 * se
