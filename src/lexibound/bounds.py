@@ -9,9 +9,7 @@ error across the sweep.
 
 from __future__ import annotations
 
-import io
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DedupProfile, exact_fraction
@@ -30,25 +28,10 @@ __all__ = [
     "parse_epsilon_grid",
     "sweep",
     "best_epsilon",
-    "reports_to_csv",
-    "reports_to_json",
 ]
 
 # Largest epsilon grid parse_epsilon_grid builds; each point costs a clique search.
 _GRID_MAX_POINTS = 10_000
-
-_REPORT_FIELDS = (
-    "epsilon",
-    "delta",
-    "k",
-    "exact_k",
-    "term_pool",
-    "term_cases",
-    "total",
-    "worst_case",
-    "ratio",
-)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -151,25 +134,3 @@ def best_epsilon(reports: list[BoundReport]) -> BoundReport:
     if not reports:
         raise ValueError("no reports to choose from")
     return min(reports, key=lambda r: (r.total, r.epsilon))
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def reports_to_csv(reports: list[BoundReport]) -> str:
-    out = io.StringIO()
-    out.write(",".join(_REPORT_FIELDS) + "\n")
-    for report in reports:
-        row = asdict(report)
-        out.write(",".join(_format_cell(row[f]) for f in _REPORT_FIELDS) + "\n")
-    return out.getvalue()
-
-
-def reports_to_json(reports: list[BoundReport]) -> str:
-    payload = [{f: asdict(r)[f] for f in _REPORT_FIELDS} for r in reports]
-    return json.dumps(payload, indent=2) + "\n"

@@ -6,16 +6,20 @@ runtime estimation, optionally checked against the bound), ``genpop``
 (fixture generation), and ``verify`` (built-in self checks).
 
 Exit codes: 0 success, 1 property/bound violation, 2 input error, 3 clique
-budget exhausted under --require-exact.
+budget exhausted under --require-exact. This module is the only layer that
+turns results into text (``render``) or exit codes; an input error anywhere
+below a command reaches ``main`` as an exception and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,28 @@ def _resolve_seed(value) -> int:
         raise ValueError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def render(rows, fmt: str) -> str:
+    """Records as CSV or JSON text.
+
+    CSV takes a non-empty list of dicts sharing their keys: a header of the
+    keys, then one line per record (bools as true/false, floats by repr, so
+    every float round-trips exactly). JSON takes any JSON value, indented 2.
+    """
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    lines = [",".join(rows[0])]
+    lines += [",".join(_cell(value) for value in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, out) -> None:
     if out:
         Path(out).write_text(text)
@@ -83,8 +109,8 @@ def _load_profile(path: str, delta) -> tuple[ErrorMatrix, DedupProfile, float]:
         return matrix, deduplicate(matrix), 0.0
     if delta is None:
         raise ValueError("--delta is required for real-valued matrices")
-    if delta < 0:
-        raise ValueError(f"--delta must be >= 0, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"--delta must be finite and >= 0, got {delta}")
     return matrix, identity_profile(matrix), float(delta)
 
 
@@ -100,13 +126,8 @@ def _epsilon_grid(args):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        matrix, profile, delta = _load_profile(args.matrix, args.delta)
-        grid = _epsilon_grid(args)
-        reports = bounds.sweep(profile, grid, delta, args.budget)
-    except (MatrixError, ValueError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
+    matrix, profile, delta = _load_profile(args.matrix, args.delta)
+    reports = bounds.sweep(profile, _epsilon_grid(args), delta, args.budget)
     print(
         f"# {args.matrix}: kind={matrix.kind.value} n_original={matrix.n_individuals} "
         f"n_unique={profile.n_unique} cases={matrix.n_cases}",
@@ -116,8 +137,7 @@ def cmd_analyze(args) -> int:
     if inexact and args.require_exact:
         _fail(f"clique budget exhausted at epsilon {inexact} (re-run with a larger --budget)")
         return EXIT_BUDGET
-    text = bounds.reports_to_json(reports) if args.format == "json" else bounds.reports_to_csv(reports)
-    _emit(text, args.out)
+    _emit(render([asdict(r) for r in reports], args.format), args.out)
     return EXIT_OK
 
 
@@ -141,29 +161,18 @@ def _scan_run_directory(path: Path) -> list[tuple[int, Path]]:
 
 
 def cmd_sweep_run(args) -> int:
-    try:
-        generations = _scan_run_directory(Path(args.run_directory))
-        grid = _epsilon_grid(args)
-    except (MatrixError, ValueError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-
+    generations = _scan_run_directory(Path(args.run_directory))
+    grid = _epsilon_grid(args)
     rows = []
     n_cases = None
     any_inexact = False
     for index, file_path in generations:
-        try:
-            matrix, profile, delta = _load_profile(str(file_path), args.delta)
-            if n_cases is None:
-                n_cases = matrix.n_cases
-            elif matrix.n_cases != n_cases:
-                raise ValueError(
-                    f"{file_path}: {matrix.n_cases} cases, earlier generations had {n_cases}"
-                )
-            reports = bounds.sweep(profile, grid, delta, args.budget)
-        except (MatrixError, ValueError) as exc:
-            _fail(str(exc))
-            return EXIT_INPUT
+        matrix, profile, delta = _load_profile(str(file_path), args.delta)
+        if n_cases is None:
+            n_cases = matrix.n_cases
+        elif matrix.n_cases != n_cases:
+            raise ValueError(f"{file_path}: {matrix.n_cases} cases, earlier generations had {n_cases}")
+        reports = bounds.sweep(profile, grid, delta, args.budget)
         any_inexact = any_inexact or any(not r.exact_k for r in reports)
         best = bounds.best_epsilon(reports)
         rows.append(
@@ -179,19 +188,7 @@ def cmd_sweep_run(args) -> int:
     if any_inexact and args.require_exact:
         _fail("clique budget exhausted in at least one generation")
         return EXIT_BUDGET
-
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        header = "generation,epsilon,k,total,worst_case,ratio"
-        lines = [header]
-        for row in rows:
-            lines.append(
-                f"{row['generation']},{row['epsilon']!r},{row['k']},"
-                f"{row['total']!r},{row['worst_case']!r},{row['ratio']!r}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(render(rows, args.format), args.out)
     return EXIT_OK
 
 
@@ -201,45 +198,29 @@ def cmd_sweep_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-        matrix = read_matrix_csv(args.matrix)
-        if matrix.kind is LossKind.REAL:
-            if not args.binarize_mad:
-                raise ValueError(
-                    "selection needs discrete losses; pass --binarize-mad to apply "
-                    "the static-epsilon transform with per-case MAD thresholds"
-                )
-            matrix = engine.static_epsilon_binarize(matrix, engine.mad_thresholds(matrix))
-        profile = deduplicate(matrix)
-        stats = simulate.estimate_runtime(profile, args.trials, RngStream(seed))
-    except (MatrixError, ValueError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-
+    seed = _resolve_seed(args.seed)
+    matrix = read_matrix_csv(args.matrix)
+    if matrix.kind is LossKind.REAL:
+        if not args.binarize_mad:
+            raise ValueError(
+                "selection needs discrete losses; pass --binarize-mad to apply "
+                "the static-epsilon transform with per-case MAD thresholds"
+            )
+        matrix = engine.static_epsilon_binarize(matrix, engine.mad_thresholds(matrix))
+    profile = deduplicate(matrix)
+    stats = simulate.estimate_runtime(profile, args.trials, RngStream(seed))
     payload = {
         "matrix": args.matrix,
         "seed": seed,
         "n_original": matrix.n_individuals,
         "n_unique": profile.n_unique,
         "cases": matrix.n_cases,
-        "trials": stats.trials,
-        "mean_evaluations": stats.mean_evaluations,
-        "std_error": stats.std_error,
-        "min_evaluations": stats.min_evaluations,
-        "max_evaluations": stats.max_evaluations,
-        "mean_iterations": stats.mean_iterations,
-        "pool_size_profile": list(stats.pool_size_profile),
+        **asdict(stats),
     }
 
     code = EXIT_OK
     if args.check_bound:
-        try:
-            grid = _epsilon_grid(args)
-            reports = bounds.sweep(profile, grid, 0.0, args.budget)
-        except ValueError as exc:
-            _fail(str(exc))
-            return EXIT_INPUT
+        reports = bounds.sweep(profile, _epsilon_grid(args), 0.0, args.budget)
         margin = stats.mean_evaluations + 3.0 * stats.std_error
         checks = []
         violations = []
@@ -259,7 +240,7 @@ def cmd_simulate(args) -> int:
         if violations:
             _fail(f"bound violated at epsilon {violations}: mean + 3*SE = {margin}")
             code = EXIT_VIOLATION
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(render(payload, "json"), args.out)
     return code
 
 
@@ -269,32 +250,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genpop(args) -> int:
-    try:
-        if args.spec is not None:
-            spec_path = Path(args.spec)
-            text = spec_path.read_text() if spec_path.exists() else args.spec
-            spec = popgen.GenSpec.from_json(text)
-        else:
-            if args.kind is None or args.n is None or args.c is None:
-                raise ValueError("either --spec or all of --kind/--n/--c are required")
-            params = {}
-            if args.levels is not None:
-                params["levels"] = args.levels
-            if args.clusters is not None:
-                params["clusters"] = args.clusters
-            if args.spread is not None:
-                params["spread"] = args.spread
-            spec = popgen.GenSpec(
-                kind=popgen.GenKind(args.kind),
-                n=args.n,
-                c=args.c,
-                seed=_resolve_seed(args.seed),
-                params=params,
-            )
-        matrix = popgen.generate(spec)
-    except (MatrixError, ValueError, popgen.GenerationError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
+    if args.spec is not None:
+        spec_path = Path(args.spec)
+        text = spec_path.read_text() if spec_path.exists() else args.spec
+        spec = popgen.GenSpec.from_json(text)
+    else:
+        if args.kind is None or args.n is None or args.c is None:
+            raise ValueError("either --spec or all of --kind/--n/--c are required")
+        params = {}
+        if args.levels is not None:
+            params["levels"] = args.levels
+        if args.clusters is not None:
+            params["clusters"] = args.clusters
+        if args.spread is not None:
+            params["spread"] = args.spread
+        spec = popgen.GenSpec(
+            kind=popgen.GenKind(args.kind),
+            n=args.n,
+            c=args.c,
+            seed=_resolve_seed(args.seed),
+            params=params,
+        )
+    matrix = popgen.generate(spec)
     write_matrix_csv(matrix, args.out, header=True)
     print(
         f"# wrote {matrix.n_individuals}x{matrix.n_cases} {spec.kind.value} matrix to {args.out}",
@@ -419,12 +396,7 @@ def _check_bound_validity(seed: int, trials: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-
+    seed = _resolve_seed(args.seed)
     if args.inject_fault == "elite-filter":
         engine._elite_slack = 1
         print("verify: injected elite-filter fault (expect failures)", file=sys.stderr)
@@ -551,9 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, MatrixError, ValueError, popgen.GenerationError) as exc:
+        # Unreadable or unwritable files, malformed matrices, flags and specs.
+        _fail(str(exc))
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

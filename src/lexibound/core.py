@@ -420,7 +420,7 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -457,12 +457,20 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
         data.append(parsed)
     if case_labels is not None and len(case_labels) != width:
         raise MatrixError(f"{path}: header has {len(case_labels)} labels for {width} columns")
+    losses = np.array(data, dtype=np.float64)
+    for row, col in np.argwhere(np.abs(losses) >= _MAX_EXACT_INT).tolist():
+        cell = rows[row][col].strip()
+        if _is_int_literal(cell) and abs(int(cell)) > _MAX_EXACT_INT:
+            raise MatrixError(
+                f"{path}: line {start_line + row}: cell {col + 1} is an integer beyond 2**53, "
+                f"which float64 cannot hold exactly: {cell!r}"
+            )
 
     kind = _sidecar_kind(path)
     if kind is None:
         kind = LossKind.DISCRETE if all_int else LossKind.REAL
     try:
-        return ErrorMatrix(np.array(data, dtype=np.float64), kind=kind, case_labels=case_labels)
+        return ErrorMatrix(losses, kind=kind, case_labels=case_labels)
     except MatrixError as exc:
         raise MatrixError(f"{path}: {exc}") from exc
 

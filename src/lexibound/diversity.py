@@ -58,8 +58,8 @@ def _resolve_delta(kind: LossKind, delta) -> float:
             raise ValueError("delta must be supplied for real-valued losses")
         return 0.0
     delta = float(delta)
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if kind is LossKind.DISCRETE and delta != 0:
         raise ValueError("delta must be 0 for discrete losses")
     return delta

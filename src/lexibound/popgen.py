@@ -70,9 +70,9 @@ class GenSpec:
             kind = GenKind(raw["kind"])
             n = int(raw["n"])
             c = int(raw["c"])
-        except (KeyError, ValueError) as exc:
+            seed = int(raw.get("seed", 0))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid GenSpec: {exc}") from exc
-        seed = int(raw.get("seed", 0))
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("GenSpec params must be an object")
@@ -193,8 +193,8 @@ def gen_clustered(
         raise ValueError(f"clusters must be >= 1, got {clusters}")
     if n < clusters:
         raise ValueError(f"n must be >= clusters, got n={n}, clusters={clusters}")
-    if spread < 0:
-        raise ValueError(f"spread must be >= 0, got {spread}")
+    if not 0 <= spread < math.inf:
+        raise ValueError(f"spread must be finite and >= 0, got {spread}")
     base, remainder = divmod(n, clusters)
     sizes = [base + 1 if g < remainder else base for g in range(clusters)]
     max_size = sizes[0]

@@ -12,9 +12,7 @@ rate per check is about 0.1%.
 
 from __future__ import annotations
 
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,10 +29,6 @@ __all__ = [
     "selection_distribution",
     "oracle_distribution",
     "drift_check",
-    "run_stats_to_json",
-    "run_stats_to_csv",
-    "drift_table_to_json",
-    "drift_table_to_csv",
 ]
 
 _ORACLE_MAX_CASES = 8
@@ -213,58 +207,3 @@ def drift_check(
             )
         )
     return table
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def run_stats_to_json(stats: RunStats) -> str:
-    payload = {
-        "trials": stats.trials,
-        "mean_evaluations": stats.mean_evaluations,
-        "std_error": stats.std_error,
-        "min_evaluations": stats.min_evaluations,
-        "max_evaluations": stats.max_evaluations,
-        "mean_iterations": stats.mean_iterations,
-        "pool_size_profile": list(stats.pool_size_profile),
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def run_stats_to_csv(stats: RunStats) -> str:
-    """Scalar summary row; the pool profile serializes via JSON."""
-    out = io.StringIO()
-    out.write("trials,mean_evaluations,std_error,min_evaluations,max_evaluations,mean_iterations\n")
-    out.write(
-        f"{stats.trials},{stats.mean_evaluations!r},{stats.std_error!r},"
-        f"{stats.min_evaluations},{stats.max_evaluations},{stats.mean_iterations!r}\n"
-    )
-    return out.getvalue()
-
-
-def drift_table_to_json(table: list[DriftEntry]) -> str:
-    payload = [
-        {
-            "pool_size": e.pool_size,
-            "transitions": e.transitions,
-            "mean_next": e.mean_next,
-            "std_error": e.std_error,
-            "bound": e.bound,
-            "flagged": e.flagged,
-        }
-        for e in table
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def drift_table_to_csv(table: list[DriftEntry]) -> str:
-    out = io.StringIO()
-    out.write("pool_size,transitions,mean_next,std_error,bound,flagged\n")
-    for e in table:
-        flag = "true" if e.flagged else "false"
-        out.write(
-            f"{e.pool_size},{e.transitions},{e.mean_next!r},{e.std_error!r},{e.bound!r},{flag}\n"
-        )
-    return out.getvalue()

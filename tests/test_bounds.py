@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,10 @@ from lexibound.bounds import (
     best_epsilon,
     default_epsilon_grid,
     parse_epsilon_grid,
-    reports_to_csv,
-    reports_to_json,
     sweep,
     theorem_bound,
 )
+from lexibound.cli import render
 from lexibound.core import RngStream, deduplicate
 from lexibound.diversity import similarity_bruteforce
 from lexibound.popgen import gen_adversarial_single_case, gen_random_uniform
@@ -132,7 +132,7 @@ class TestBestEpsilon:
 
 class TestSerialization:
     def test_csv_schema(self, two_triangles):
-        text = reports_to_csv(sweep(two_triangles, epsilons=(Fraction(1, 2),)))
+        text = render([asdict(r) for r in sweep(two_triangles, epsilons=(Fraction(1, 2),))], "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "epsilon,delta,k,exact_k,term_pool,term_cases,total,worst_case,ratio"
         cells = lines[1].split(",")
@@ -142,7 +142,7 @@ class TestSerialization:
 
     def test_json_round_trip(self, two_triangles):
         reports = sweep(two_triangles)
-        parsed = json.loads(reports_to_json(reports))
+        parsed = json.loads(render([asdict(r) for r in reports], "json"))
         assert len(parsed) == len(reports)
         for obj, report in zip(parsed, reports):
             assert obj["epsilon"] == report.epsilon

@@ -1,9 +1,15 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from lexibound import cli
 from lexibound.core import RngStream, deduplicate, read_matrix_csv, write_matrix_csv
 from lexibound.diversity import similarity_bruteforce
 from lexibound.popgen import gen_clustered, gen_random_uniform, gen_two_cluster
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -43,6 +49,44 @@ class TestGenpop:
 
     def test_missing_flags_exit_2(self, tmp_path):
         assert run(["genpop", "--kind", "two_cluster", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestGoldenOutput:
+    """Pins the exact stdout bytes of the text-producing commands."""
+
+    CASES = {
+        "analyze.csv": ["analyze", "pop.csv", "--epsilon-grid", "0.2:0.6:0.2", "--budget", "1"],
+        "analyze.json": ["analyze", "pop.csv", "--epsilon-grid", "0.1:0.5:0.2", "--format", "json"],
+        "analyze-real.csv": ["analyze", "real.csv", "--delta", "0.3", "--epsilon", "0.5"],
+        "sweep-run.csv": ["sweep-run", "run"],
+        "sweep-run.json": ["sweep-run", "run", "--format", "json"],
+        "simulate.json": [
+            "simulate", "pop.csv", "--trials", "500", "--seed", "7",
+            "--check-bound", "--epsilon-grid", "0.2:0.6:0.2", "--budget", "1",
+        ],
+    }
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run").mkdir()
+        for argv in (
+            ["--kind", "clustered", "--n", "12", "--c", "16", "--clusters", "3", "--spread", "0.1",
+             "--seed", "4", "--out", "pop.csv"],
+            ["--kind", "clustered", "--n", "10", "--c", "12", "--clusters", "2", "--spread", "0.05",
+             "--seed", "1", "--out", "run/gen_0.csv"],
+            ["--kind", "random_uniform", "--n", "10", "--c", "12", "--levels", "3", "--seed", "2",
+             "--out", "run/gen_1.csv"],
+        ):
+            assert run(["genpop"] + argv) == 0
+        (tmp_path / "real.csv").write_text("0.5,1.5,2.25\n1.0,0.25,2.0\n0.125,0.2,0.3\n0.5,1.5,2.0\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_bytes(self, name, workdir, capsys):
+        capsys.readouterr()
+        assert run(self.CASES[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 class TestAnalyze:
@@ -119,6 +163,63 @@ class TestAnalyze:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.csv")]) == 2
+
+
+class TestInputErrors:
+    """Bad files, flags and output paths exit 2 with a message naming them."""
+
+    @pytest.mark.parametrize("command", ["genpop", "analyze", "sweep-run", "simulate"])
+    def test_unwritable_out_exits_2(self, command, tmp_path, capsys):
+        (tmp_path / "gen_0.csv").write_text("0,1\n1,0\n1,1\n")
+        matrix = str(tmp_path / "gen_0.csv")
+        argv = {
+            "genpop": ["genpop", "--kind", "two_cluster", "--n", "6", "--c", "10"],
+            "analyze": ["analyze", matrix],
+            "sweep-run": ["sweep-run", str(tmp_path)],
+            "simulate": ["simulate", matrix, "--trials", "10"],
+        }[command]
+        out = tmp_path / "missing" / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"kind": "two_cluster", "n": [6], "c": 10}', '{"kind": "two_cluster", "n": 6, "c": 10, "seed": null}'],
+    )
+    def test_spec_wrong_type_exits_2(self, spec, tmp_path, capsys):
+        assert run(["genpop", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "invalid GenSpec" in capsys.readouterr().err
+
+    def test_spec_directory_exits_2(self, tmp_path, capsys):
+        assert run(["genpop", "--spec", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_integer_beyond_2_53_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("9007199254740993,1\n9007199254740992,1\n1,1\n")
+        assert run(["analyze", str(path)]) == 2
+        assert "big.csv: line 1: cell 1 is an integer beyond 2**53" in capsys.readouterr().err
+
+    def test_non_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\xff0,1\n1,0\n")
+        assert run(["simulate", str(path), "--trials", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "latin.csv" in err and "'utf-8' codec" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_2(self, delta, tmp_path, capsys):
+        real = tmp_path / "real.csv"
+        real.write_text("0.5,1.5\n1.0,0.25\n")
+        assert run(["analyze", str(real), "--delta", delta]) == 2
+        assert "--delta must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_spread_exits_2(self, spread, tmp_path, capsys):
+        argv = ["genpop", "--kind", "clustered", "--n", "10", "--c", "10", "--clusters", "2"]
+        assert run(argv + ["--spread", spread, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "spread must be finite" in capsys.readouterr().err
 
 
 class TestSweepRun:

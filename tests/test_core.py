@@ -224,6 +224,24 @@ class TestCsv:
         with pytest.raises(MatrixError, match="line 1: cell 1 is not a number: 'case_0'"):
             read_matrix_csv(path)
 
+    def test_integer_beyond_2_53_rejected(self, tmp_path):
+        # float64 rounds 2**53 + 1 to 2**53, which would merge distinct rows
+        path = tmp_path / "m.csv"
+        path.write_text("9007199254740993,1\n9007199254740992,1\n1,1\n")
+        with pytest.raises(MatrixError, match="line 1: cell 1 is an integer beyond 2\\*\\*53"):
+            read_matrix_csv(path)
+        path.write_text("1,1\n1,-9007199254740993\n")
+        with pytest.raises(MatrixError, match="line 2: cell 2"):
+            read_matrix_csv(path)
+        path.write_text("9007199254740992,1\n-9007199254740992,1\n1,1\n")
+        assert deduplicate(read_matrix_csv(path)).n_unique == 3
+
+    def test_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xff0,1\n1,0\n")
+        with pytest.raises(MatrixError, match=r"cannot read .*m\.csv: 'utf-8' codec"):
+            read_matrix_csv(path)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1\n0,1,2\n")

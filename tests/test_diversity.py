@@ -57,6 +57,11 @@ class TestPhenotypicDistance:
         with pytest.raises(ValueError):
             phenotypic_distance(dmatrix([[0], [1]]), 0, 1, delta=0.5)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5])
+    def test_rejects_non_finite_or_negative_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            phenotypic_distance(rmatrix([[1.0], [2.0]]), 0, 1, delta=delta)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lexibound.cli import render
 from lexibound.core import RngStream, deduplicate
 from lexibound.diversity import epsilon_cluster_similarity
 from lexibound.popgen import (
@@ -14,12 +16,8 @@ from lexibound.popgen import (
 )
 from lexibound.simulate import (
     drift_check,
-    drift_table_to_csv,
-    drift_table_to_json,
     estimate_runtime,
     oracle_distribution,
-    run_stats_to_csv,
-    run_stats_to_json,
     selection_distribution,
 )
 
@@ -194,22 +192,23 @@ class TestDriftCheck:
 class TestSerialization:
     def test_run_stats_json(self):
         stats = estimate_runtime(profile([[0, 1], [1, 0]]), 100, RngStream(15))
-        payload = json.loads(run_stats_to_json(stats))
+        payload = json.loads(render(asdict(stats), "json"))
         assert payload["trials"] == 100
         assert payload["mean_evaluations"] == stats.mean_evaluations
         assert payload["pool_size_profile"][0] == 2.0
 
     def test_run_stats_csv(self):
         stats = estimate_runtime(profile([[0, 1], [1, 0]]), 100, RngStream(15))
-        lines = run_stats_to_csv(stats).strip().split("\n")
+        summary = {k: v for k, v in asdict(stats).items() if k != "pool_size_profile"}
+        lines = render([summary], "csv").strip().split("\n")
         assert lines[0].startswith("trials,mean_evaluations")
         assert lines[1].split(",")[0] == "100"
 
     def test_drift_table_serializers(self):
         prof = profile([[i] * 6 for i in range(8)])
         table = drift_check(prof, 0.5, 2, 1_000, RngStream(16))
-        parsed = json.loads(drift_table_to_json(table))
+        parsed = json.loads(render([asdict(e) for e in table], "json"))
         assert parsed[0]["pool_size"] == 8
-        csv_text = drift_table_to_csv(table)
+        csv_text = render([asdict(e) for e in table], "csv")
         assert csv_text.splitlines()[0] == "pool_size,transitions,mean_next,std_error,bound,flagged"
         assert csv_text.splitlines()[1].startswith("8,")
