@@ -36,11 +36,6 @@ __all__ = [
     "downsample_cases",
 ]
 
-# Mutation-testing hook: the elite filter keeps losses <= best + _elite_slack.
-# Zero (the only correct value) makes it an exact minimum test; the verify
-# command's fault injection sets it to 1 to prove the self-checks can fail.
-_elite_slack = 0
-
 # run_trials works in blocks of at most this many trials, and of at most this
 # many trial x (unique row + case) cells, which bounds its working set
 # whatever the number of trials.
@@ -68,17 +63,13 @@ class SelectionTrace:
 def lexicase_select(profile: DedupProfile, rng: RngStream) -> SelectionTrace:
     """Select one parent; returns the trace including the evaluation count M.
 
-    Requires a DISCRETE profile. If every case is exhausted while the pool
-    still holds several behaviors (impossible for a validated profile, whose
-    unique rows differ somewhere; kept as a guard for down-sampled inputs
-    that bypass re-deduplication) the winner is drawn uniformly from the
-    remaining pool.
+    Requires a DISCRETE profile. Its unique rows differ pairwise on some
+    case, whose elite filter separates them, so the pool always ends at one.
     """
     profile.unique.require_kind(LossKind.DISCRETE, "lexicase_select")
     rows = profile._rows
     n_cases = profile.n_cases
     src = rng.source()
-    slack = _elite_slack
 
     pool = list(range(len(rows)))
     pool_sizes = [len(pool)]
@@ -86,27 +77,19 @@ def lexicase_select(profile: DedupProfile, rng: RngStream) -> SelectionTrace:
     remaining = list(range(n_cases))
     evaluations = 0
 
-    while len(pool) > 1 and remaining:
+    while len(pool) > 1:
         j = src.randbelow(len(remaining))
         case = remaining[j]
         remaining[j] = remaining[-1]
         remaining.pop()
         case_order.append(case)
 
-        best = rows[pool[0]][case]
-        for i in pool:
-            v = rows[i][case]
-            if v < best:
-                best = v
-        cutoff = best + slack
+        best = min(rows[i][case] for i in pool)
         evaluations += len(pool)
-        pool = [i for i in pool if rows[i][case] <= cutoff]
+        pool = [i for i in pool if rows[i][case] == best]
         pool_sizes.append(len(pool))
 
-    if len(pool) == 1:
-        winner_unique = pool[0]
-    else:
-        winner_unique = pool[src.randbelow(len(pool))]
+    winner_unique = pool[0]
     group = profile.groups[winner_unique]
     winner_original = group[0] if len(group) == 1 else group[src.randbelow(len(group))]
 
@@ -158,8 +141,7 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     profile.unique.require_kind(LossKind.DISCRETE, "lexicase_select")
-    slack = _elite_slack
-    by_case, absent = _narrow_losses(profile.unique.losses.T, slack)
+    by_case, absent = _narrow_losses(profile.unique.losses.T)
     group_sizes = np.array([len(g) for g in profile.groups])
     group_starts = np.cumsum(group_sizes) - group_sizes
     members = np.concatenate(profile.groups)
@@ -168,7 +150,7 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     def blocks() -> Iterator[TrialBlock]:
         for start in range(0, trials, block):
             states = rng.substream_states(start, min(trials, start + block))
-            winner, evaluations, steps, case_order, pool_sizes = _select_block(by_case, absent, states, slack)
+            winner, evaluations, steps, case_order, pool_sizes = _select_block(by_case, absent, states)
             # Clone-group tie breaks draw last, as in lexicase_select.
             size = group_sizes[winner]
             winner_original = members[group_starts[winner]]
@@ -180,14 +162,14 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     return blocks()
 
 
-def _narrow_losses(losses: np.ndarray, slack):
-    """``losses`` as the narrowest integer type that holds every loss plus
-    the slack below the type's maximum, which then marks pool non-members.
+def _narrow_losses(losses: np.ndarray):
+    """``losses`` as the narrowest integer type that holds every loss below
+    the type's maximum, which then marks pool non-members.
 
     Discrete losses are exact integers below 2^53, so int64 always fits and
     comparisons are exactly those of the float64 losses.
     """
-    lo, hi = losses.min(), losses.max() + slack
+    lo, hi = losses.min(), losses.max()
     for dtype in (np.int8, np.int16, np.int32):
         info = np.iinfo(dtype)
         if info.min <= lo and hi < info.max:
@@ -195,15 +177,15 @@ def _narrow_losses(losses: np.ndarray, slack):
     return np.ascontiguousarray(losses, dtype=np.int64), np.iinfo(np.int64).max
 
 
-def _select_block(by_case: np.ndarray, absent, states: np.ndarray, slack):
+def _select_block(by_case: np.ndarray, absent, states: np.ndarray):
     """Filter one block of pools down to their winners, in lockstep.
 
     ``by_case`` is the unique loss matrix transposed (C x N), and ``absent``
-    exceeds every loss plus the slack. ``states`` holds the trials' stream
-    states and is advanced past every draw made. Working arrays hold only
-    the trials still running: their rows in the block, states, undrawn
-    cases (swap-removed as in lexicase_select) and masks of the rows
-    filtered out of their pools.
+    exceeds every loss. ``states`` holds the trials' stream states and is
+    advanced past every draw made. Working arrays hold only the trials
+    still running: their rows in the block, states, undrawn cases
+    (swap-removed as in lexicase_select) and masks of the rows filtered out
+    of their pools.
     """
     n_cases, n_unique = by_case.shape
     count = len(states)
@@ -228,7 +210,7 @@ def _select_block(by_case: np.ndarray, absent, states: np.ndarray, slack):
         remaining[rows, j] = remaining[:, left - 1]
         values = by_case[case]
         np.copyto(values, absent, where=out)
-        out = values > (values.min(axis=1) + slack)[:, None]
+        out = values > values.min(axis=1)[:, None]
         evaluations[live] += size
         size = n_unique - np.count_nonzero(out, axis=1).astype(np.int32)
         case_order[live, t] = case
@@ -236,14 +218,6 @@ def _select_block(by_case: np.ndarray, absent, states: np.ndarray, slack):
         t += 1
 
         done = size == 1
-        if t == n_cases:
-            # Cases exhausted: the rest keep only a uniformly drawn member.
-            rest = np.flatnonzero(~done)
-            rest_states = live_states[rest]
-            k = randbelow_array(rest_states, size[rest])
-            live_states[rest] = rest_states
-            out[rest] |= np.cumsum(~out[rest], axis=1) != (k + 1)[:, None]
-            done[:] = True
         if done.any():
             winner[live[done]] = out[done].argmin(axis=1)
             states[live[done]] = live_states[done]

@@ -4,10 +4,6 @@ Estimates live alongside two ground-truth routes: an exhaustive case-order
 enumeration for winner distributions on small instances, and the per-step
 drift table that checks the pool-shrinkage inequality
 E[X_{t+1} | X_t = x] <= x (1 - eps/4) for x >= 2k behind the runtime bound.
-
-All stochastic assertions in this package use a 3-standard-error one-sided
-margin; with seeded streams a failure is reproducible, and the false-failure
-rate per check is about 0.1%.
 """
 
 from __future__ import annotations

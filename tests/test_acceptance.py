@@ -11,15 +11,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from lexibound import cli
-from lexibound.bounds import best_epsilon, default_epsilon_grid, sweep
+from lexibound import checks, cli
+from lexibound.bounds import best_epsilon, sweep
 from lexibound.core import RngStream, deduplicate, write_matrix_csv
-from lexibound.diversity import (
-    covariance_mean,
-    epsilon_cluster_similarity,
-    pairwise_distance_matrix,
-    similarity_bruteforce,
-)
+from lexibound.diversity import covariance_mean, epsilon_cluster_similarity, pairwise_distance_matrix
 from lexibound.popgen import (
     gen_adversarial_single_case,
     gen_clustered,
@@ -27,12 +22,7 @@ from lexibound.popgen import (
     gen_random_uniform,
     gen_two_cluster,
 )
-from lexibound.simulate import (
-    drift_check,
-    estimate_runtime,
-    oracle_distribution,
-    selection_distribution,
-)
+from lexibound.simulate import estimate_runtime
 
 from conftest import profile, random_rows
 
@@ -47,10 +37,6 @@ def criterion(number: int, label: str):
         raise
     elapsed = time.perf_counter() - started
     print(f"\n[acceptance] criterion {number:2d} ({label}): PASS [{elapsed:.1f}s]")
-
-
-def tv_distance(a, b) -> float:
-    return 0.5 * float(np.abs(np.asarray(a) - np.asarray(b)).sum())
 
 
 # Shared Monte Carlo runs over the five generator families (criteria 3, 4, 6).
@@ -97,59 +83,48 @@ def test_criterion_1_oracle_equivalence():
             profiles.append((f"random-{i}", rows))
         assert len(profiles) >= 20
 
-        worst = 0.0
+        fixtures = []
         for i, (name, rows) in enumerate(profiles):
             prof = profile(rows)
             assert prof.n_unique <= 6 and prof.n_cases <= 6
-            exact = oracle_distribution(prof)
-            sampled = selection_distribution(prof, 100_000, RngStream(4000, i))
-            tv = tv_distance(exact, sampled)
-            assert tv <= 0.02, f"{name}: TV {tv:.4f} > 0.02"
-            worst = max(worst, tv)
+            fixtures.append((name, prof, prof, RngStream(4000, i)))
+        ok, detail = checks.oracle_equivalence(fixtures, 100_000, 0.02)
+        assert ok, detail
         elapsed = time.perf_counter() - started
-        print(f"  {len(profiles)} profiles, worst TV {worst:.4f}, {elapsed:.1f}s")
+        print(f"  {len(profiles)} profiles, {detail}, {elapsed:.1f}s")
         assert elapsed < 60.0
 
 
 def test_criterion_2_definition_equivalence():
     with criterion(2, "clique-form similarity equals set-form oracle"):
         started = time.perf_counter()
-        grid = default_epsilon_grid()
-        checked = 0
+        fixtures = []
         for i in range(100):
             n = 4 + i % 9
             c = 4 + (i * 5) % 9
             levels = 2 + i % 3
             prof = deduplicate(gen_random_uniform(n, c, levels, RngStream(5000, i)))
             assert prof.n_unique <= 12 and prof.n_cases <= 12
-            for eps in grid:
-                k_graph = epsilon_cluster_similarity(prof, eps)
-                assert k_graph.exact
-                k_set = similarity_bruteforce(prof, eps)
-                assert k_graph.k == k_set, (i, float(eps), k_graph.k, k_set)
-                checked += 1
+            fixtures.append((f"random profile {i}", prof))
+        ok, detail = checks.definition_equivalence(fixtures)
+        assert ok, detail
+        assert detail == "1200 (profile, epsilon) points agree"  # 100 profiles x 12 epsilons
         elapsed = time.perf_counter() - started
-        print(f"  100 profiles x {len(grid)} epsilons = {checked} points, {elapsed:.1f}s")
+        print(f"  100 profiles x 12 epsilons: {detail}, {elapsed:.1f}s")
         assert elapsed < 60.0
 
 
 def test_criterion_3_bound_holds_empirically(family_runs):
     with criterion(3, "mean + 3SE <= 4N/eps + 2kC on all five families"):
         started = time.perf_counter()
-        violations = []
-        points = 0
-        for name, (prof, stats, reports) in family_runs.items():
-            margin = stats.mean_evaluations + 3.0 * stats.std_error
-            for report in reports:
-                if not report.exact_k:
-                    continue
-                points += 1
-                if margin > report.total:
-                    violations.append((name, report.epsilon, margin, report.total))
-        assert points == 5 * 12  # default budget resolves every family exactly
-        assert violations == []
+        ok, detail = checks.bound_validity(
+            (name, stats, reports) for name, (prof, stats, reports) in family_runs.items()
+        )
+        assert ok, detail
+        # the default budget resolves every family exactly
+        assert detail == f"{5 * 12} exact-k grid points satisfied"
         elapsed = time.perf_counter() - started
-        print(f"  {points} exact-k grid points, zero violations, {elapsed:.1f}s (incl. fixture)")
+        print(f"  {detail}, zero violations, {elapsed:.1f}s (incl. fixture)")
         assert elapsed < 300.0
 
 
@@ -193,11 +168,11 @@ def test_criterion_5_two_cluster_counterexample():
 
 def test_criterion_6_monotonicity_and_term_shape(family_runs):
     with criterion(6, "k non-decreasing, pool term falling, case term rising"):
+        ok, detail = checks.bound_monotonicity(
+            (name, reports) for name, (prof, stats, reports) in family_runs.items()
+        )
+        assert ok, detail
         for name, (prof, stats, reports) in family_runs.items():
-            for a, b in zip(reports, reports[1:]):
-                assert b.k >= a.k, name
-                assert b.term_pool < a.term_pool, name
-                assert b.term_cases >= a.term_cases, name
             best = best_epsilon(reports)
             assert best in reports
             assert best.total == min(r.total for r in reports)
@@ -210,17 +185,16 @@ def test_criterion_7_drift_inequality():
             (gen_clustered(60, 120, 4, 0.05, RngStream(1002)), 0.15, 16),
             (gen_clustered(24, 40, 3, 0.05, RngStream(7001)), 0.2, 9),
         ]
-        total_rows = 0
+        runs = []
         for i, (matrix, eps, expected_k) in enumerate(fixtures):
             prof = deduplicate(matrix)
             result = epsilon_cluster_similarity(prof, eps)
             assert result.exact and result.k == expected_k
-            table = drift_check(prof, eps, result.k, TRIALS, RngStream(7100, i))
-            assert table, "fixture must exercise pool sizes >= 2k"
-            flagged = [entry.pool_size for entry in table if entry.flagged]
-            assert flagged == []
-            total_rows += len(table)
-        print(f"  {total_rows} pool-size rows across {len(fixtures)} clustered fixtures, zero flags")
+            runs.append((f"clustered fixture {i}", prof, result, RngStream(7100, i)))
+        # every fixture must exercise pool sizes >= 2k and flag none
+        ok, detail = checks.drift_inequality(runs, TRIALS)
+        assert ok, detail
+        print(f"  {len(fixtures)} clustered fixtures: {detail}")
 
 
 def test_criterion_8_covariance_baseline():

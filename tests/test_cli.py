@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from lexibound.popgen import gen_clustered, gen_random_uniform, gen_two_cluster
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run(argv):
@@ -163,6 +167,30 @@ class TestAnalyze:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.csv")]) == 2
+
+
+class TestBrokenPipe:
+    """A reader that closes standard output early (``| head``) is not an
+    input error: the run exits 141, as a SIGPIPE kill would, and says nothing."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_141_quietly(self, unbuffered, tmp_path):
+        pop = tmp_path / "pop.csv"
+        assert run(["genpop", "--kind", "two_cluster", "--n", "6", "--c", "10", "--out", str(pop)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+        for argv in (["verify"], ["analyze", str(pop)]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "lexibound.cli", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert done.returncode == 141, done.stderr
+            # analyze's one-line summary is all that reaches stderr
+            assert [line for line in done.stderr.splitlines() if not line.startswith("# ")] == []
 
 
 class TestInputErrors:
@@ -335,11 +363,16 @@ class TestVerify:
         assert "definition-equivalence: PASS" in out
         assert "bound-monotonicity: PASS" in out
 
-    def test_fault_injection_names_failure(self, capsys):
-        from lexibound import engine
-
-        assert run(["verify", "--level", "fast", "--seed", "3", "--inject-fault", "elite-filter"]) == 1
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_fault_injection_names_failure(self, level, capsys):
+        n_checks = {"fast": 3, "full": 5}[level]
+        assert run(["verify", "--level", level, "--seed", "3", "--inject-fault", "elite-filter"]) == 1
         captured = capsys.readouterr()
-        assert "oracle-equivalence: FAIL" in captured.out
-        assert "failing properties" in captured.err
-        assert engine._elite_slack == 0  # restored afterwards
+        statuses = [line.split(" (")[0] for line in captured.out.splitlines()]
+        assert len(statuses) == n_checks
+        assert [s for s in statuses if not s.endswith(": PASS")] == ["verify oracle-equivalence: FAIL"]
+        assert "failing properties: oracle-equivalence" in captured.err
+        # no fault state outlives the faulted run
+        assert run(["verify", "--level", level, "--seed", "3"]) == 0
+        statuses = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()]
+        assert len(statuses) == n_checks and all(s.endswith(": PASS") for s in statuses)

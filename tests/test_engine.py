@@ -107,41 +107,23 @@ class TestLexicaseSelect:
             seen.add(trace.winner_original_index)
         assert seen == {0, 1, 2}
 
-    def test_elite_slack_fault_changes_outcome(self, dominated_profile):
-        baseline = lexicase_select(dominated_profile, RngStream(12))
-        engine._elite_slack = 1
-        try:
-            corrupted = [
-                lexicase_select(dominated_profile, RngStream(s)).winner_unique_index
-                for s in range(100)
-            ]
-        finally:
-            engine._elite_slack = 0
-        # with slack 1 every loss passes the filter, so non-dominated rows win too
-        assert set(corrupted) != {baseline.winner_unique_index}
 
-
-def runner_traces(prof, trials, rng, slack=0, block_trials=None):
-    """Every trial of run_trials as a SelectionTrace, with the elite slack and
-    the block size set for the call."""
-    saved = engine._elite_slack, engine._BLOCK_TRIALS
-    engine._elite_slack = slack
+def runner_traces(prof, trials, rng, block_trials=None):
+    """Every trial of run_trials as a SelectionTrace, with the block size set
+    for the call."""
+    saved = engine._BLOCK_TRIALS
     if block_trials is not None:
         engine._BLOCK_TRIALS = block_trials
     try:
         blocks = list(run_trials(prof, trials, rng))
     finally:
-        engine._elite_slack, engine._BLOCK_TRIALS = saved
+        engine._BLOCK_TRIALS = saved
     assert sum(len(b.steps) for b in blocks) == trials
     return [trace for block in blocks for trace in block.traces()]
 
 
-def scalar_traces(prof, trials, rng, slack=0):
-    engine._elite_slack = slack
-    try:
-        return [lexicase_select(prof, rng.substream(i)) for i in range(trials)]
-    finally:
-        engine._elite_slack = 0
+def scalar_traces(prof, trials, rng):
+    return [lexicase_select(prof, rng.substream(i)) for i in range(trials)]
 
 
 @st.composite
@@ -166,14 +148,15 @@ class TestRunTrials:
         prof=profiles_with_clones(),
         trials=st.integers(1, 40),
         block_trials=st.integers(1, 7),
-        slack=st.sampled_from([0, 1]),
         seed=st.integers(0, 2**64 - 1),
         stream=st.integers(0, 2**64 - 1),
     )
-    def test_matches_lexicase_select_per_trial(self, prof, trials, block_trials, slack, seed, stream):
+    def test_matches_lexicase_select_per_trial(self, prof, trials, block_trials, seed, stream):
         rng = RngStream(seed, stream)
-        expected = scalar_traces(prof, trials, rng, slack)
-        assert runner_traces(prof, trials, rng, slack, block_trials) == expected
+        expected = scalar_traces(prof, trials, rng)
+        assert runner_traces(prof, trials, rng, block_trials) == expected
+        # unique rows always separate, so every selection ends at one behavior
+        assert all(trace.pool_sizes[-1] == 1 for trace in expected)
 
     def test_single_unique_row(self):
         prof = profile([[3, 1], [3, 1], [3, 1]])
@@ -184,27 +167,15 @@ class TestRunTrials:
 
     def test_single_case(self):
         prof = profile([[2], [0], [1], [0]])
-        for slack in (0, 1):
-            traces = runner_traces(prof, 30, RngStream(8), slack, block_trials=7)
-            assert traces == scalar_traces(prof, 30, RngStream(8), slack)
+        traces = runner_traces(prof, 30, RngStream(8), block_trials=7)
+        assert traces == scalar_traces(prof, 30, RngStream(8))
 
     def test_losses_at_the_narrow_type_limit(self):
         # after case 0 drops row 2, case 1 ties rows 0 and 1 at 127, the
         # int8 maximum; row 2 must stay out of the pool
         prof = profile([[0, 127, 5], [0, 127, 6], [1, 0, 0]])
-        for slack in (0, 1):
-            traces = runner_traces(prof, 60, RngStream(2), slack)
-            assert traces == scalar_traces(prof, 60, RngStream(2), slack)
-
-    def test_cases_exhausted(self):
-        # with slack 1 no filter separates [0, 1] from [1, 0], so the cases
-        # run out and the winner is drawn from the remaining pool
-        prof = profile([[0, 1], [1, 0], [0, 1], [5, 5]])
-        traces = runner_traces(prof, 200, RngStream(3), slack=1, block_trials=64)
-        assert traces == scalar_traces(prof, 200, RngStream(3), slack=1)
-        exhausted = [t for t in traces if t.pool_sizes[-1] > 1]
-        assert exhausted and all(len(t.case_order) == 2 for t in exhausted)
-        assert {t.winner_unique_index for t in exhausted} == {0, 1}
+        traces = runner_traces(prof, 60, RngStream(2))
+        assert traces == scalar_traces(prof, 60, RngStream(2))
 
     @pytest.mark.parametrize("trials", [1, 2, 63, 64, 65, 130])
     def test_trial_counts_around_the_block_size(self, trials):
