@@ -21,10 +21,8 @@ from .core import (
 )
 from .engine import (
     SelectionTrace,
-    downsample_cases,
     lexicase_select,
     mad_thresholds,
-    select_parents,
     static_epsilon_binarize,
 )
 from .diversity import (
@@ -35,7 +33,6 @@ from .diversity import (
     clique_number,
     covariance_mean,
     epsilon_cluster_similarity,
-    phenotypic_distance,
     similarity_bruteforce,
 )
 from .bounds import (
@@ -43,7 +40,6 @@ from .bounds import (
     best_epsilon,
     default_epsilon_grid,
     sweep,
-    theorem_bound,
 )
 from .simulate import (
     DriftEntry,

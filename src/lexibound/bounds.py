@@ -23,7 +23,6 @@ from .diversity import (
 
 __all__ = [
     "BoundReport",
-    "theorem_bound",
     "default_epsilon_grid",
     "parse_epsilon_grid",
     "sweep",
@@ -47,18 +46,6 @@ class BoundReport:
     total: float
     worst_case: float  # N * C
     ratio: float
-
-
-def theorem_bound(n_unique: int, n_cases: int, epsilon, k: int) -> float:
-    """Expected-evaluation bound 4 n / eps + 2 k C."""
-    if n_unique < 1 or n_cases < 1:
-        raise ValueError("population and case counts must be >= 1")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    eps = exact_fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
-    return float(Fraction(4 * n_unique) / eps) + float(2 * k * n_cases)
 
 
 def default_epsilon_grid() -> tuple[Fraction, ...]:

@@ -21,12 +21,13 @@ def oracle_equivalence(fixtures, trials: int, tolerance: float) -> tuple[bool, s
     ``tolerance`` of the permutation oracle. Fixtures are ``(name, profile,
     sampled, rng)``: selections run on ``sampled``, which is ``profile``
     unless a fault is injected."""
-    worst, worst_name = 0.0, ""
+    results = []
     for name, profile, sampled, rng in fixtures:
         exact = simulate.oracle_distribution(profile)
         tv = 0.5 * float(np.abs(exact - simulate.selection_distribution(sampled, trials, rng)).sum())
-        if tv > worst:
-            worst, worst_name = tv, name
+        results.append((tv, name))
+    # max keeps the first fixture to reach the largest TV, even when every TV is 0.
+    worst, worst_name = max(results, key=lambda result: result[0], default=(0.0, ""))
     detail = f"worst TV {worst:.4f} on {worst_name} (tolerance {tolerance}, {trials} trials)"
     return worst <= tolerance, detail
 

@@ -36,7 +36,7 @@ from .core import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .diversity import _resolve_delta, epsilon_cluster_similarity
+from .diversity import DEFAULT_NODE_BUDGET, _resolve_delta, epsilon_cluster_similarity
 from .diversity import similarity_bruteforce  # noqa: F401  (a name the benchmark tracer wraps)
 
 EXIT_OK = 0
@@ -47,7 +47,6 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 
 SEED_ENV = "LEXIBOUND_SEED"
 DEFAULT_TRIALS = 10_000
-DEFAULT_BUDGET = 10_000_000
 DEFAULT_GRID = "0.05:0.60:0.05"
 
 _GEN_FILE = re.compile(r"^gen_(\d+)\.csv$")
@@ -363,8 +362,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_BUDGET,
-        help=f"clique search node budget (default {DEFAULT_BUDGET})",
+        default=DEFAULT_NODE_BUDGET,
+        help=f"clique search node budget (default {DEFAULT_NODE_BUDGET})",
     )
     parser.add_argument(
         "--require-exact",

@@ -479,12 +479,11 @@ def write_matrix_csv(
     matrix: ErrorMatrix,
     path: str | Path,
     header: bool = True,
-    write_descriptor: bool = False,
 ) -> None:
     """Write a matrix in the CSV interchange format (byte-stable output).
 
     Discrete entries are written as bare integers, real ones via repr (exact
-    round-trip). ``write_descriptor`` adds the <file>.json kind sidecar.
+    round-trip).
     """
     path = Path(path)
     lines: list[str] = []
@@ -498,5 +497,3 @@ def write_matrix_csv(
         else:
             lines.append(",".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
-    if write_descriptor:
-        Path(str(path) + ".json").write_text(json.dumps({"kind": matrix.kind.value}) + "\n")

@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
     "SimilarityGraph",
     "SimilarityResult",
-    "phenotypic_distance",
     "pairwise_distance_matrix",
     "far_distance_threshold",
     "build_similarity_graph",
@@ -63,15 +62,6 @@ def _resolve_delta(kind: LossKind, delta) -> float:
     if kind is LossKind.DISCRETE and delta != 0:
         raise ValueError("delta must be 0 for discrete losses")
     return delta
-
-
-def phenotypic_distance(matrix: ErrorMatrix, i: int, j: int, delta=None) -> int:
-    """Number of cases on which rows i and j differ (by more than delta)."""
-    if i == j:
-        raise ValueError("phenotypic distance is defined for distinct rows")
-    delta = _resolve_delta(matrix.kind, delta)
-    diff = np.abs(matrix.losses[i] - matrix.losses[j])
-    return int(np.count_nonzero(diff > delta))
 
 
 def pairwise_distance_matrix(matrix: ErrorMatrix, delta=None) -> np.ndarray:
@@ -136,7 +126,6 @@ class SimilarityResult:
     alpha_upper: int
     exact: bool
     search_nodes: int
-    budget_exhausted: bool
 
     @property
     def k_lower(self) -> int:
@@ -339,7 +328,6 @@ def clique_number(
         alpha_upper=upper,
         exact=not exhausted,
         search_nodes=nodes,
-        budget_exhausted=exhausted,
     )
 
 

@@ -11,12 +11,11 @@ case) pair, including the iteration that reduces the pool to one.
 each bit-identical to :func:`lexicase_select` on its own substream; the
 scalar function stays the reference it is checked against.
 
-Also houses the static-epsilon binarization and case down-sampling variants.
+Also houses the static-epsilon binarization variant.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,10 +29,8 @@ __all__ = [
     "TrialBlock",
     "lexicase_select",
     "run_trials",
-    "select_parents",
     "static_epsilon_binarize",
     "mad_thresholds",
-    "downsample_cases",
 ]
 
 # run_trials works in blocks of at most this many trials, and of at most this
@@ -232,16 +229,6 @@ def _select_block(by_case: np.ndarray, absent, states: np.ndarray):
     return winner, evaluations, steps, case_order[:, :t], pool_sizes[:, : t + 1]
 
 
-def select_parents(profile: DedupProfile, count: int, rng: RngStream) -> list[SelectionTrace]:
-    """Run ``count`` independent selection events on substreams 0..count-1.
-
-    Deduplication is not repeated; the profile is shared across all events.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [trace for block in run_trials(profile, count, rng) for trace in block.traces()]
-
-
 def static_epsilon_binarize(matrix: ErrorMatrix, thresholds) -> ErrorMatrix:
     """Binarize real losses against per-case elite thresholds.
 
@@ -271,33 +258,3 @@ def mad_thresholds(matrix: ErrorMatrix) -> np.ndarray:
     med = np.median(matrix.losses, axis=0)
     return np.median(np.abs(matrix.losses - med), axis=0)
 
-
-def downsample_cases(matrix: ErrorMatrix, fraction: float, rng: RngStream) -> ErrorMatrix:
-    """Restrict the matrix to ceil(fraction * C) uniformly chosen cases.
-
-    The subset keeps the original case order (and labels); fraction 1.0
-    returns the matrix unchanged. Note the result may contain duplicate rows
-    even if the input did not; re-deduplicate before selection.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    c = matrix.n_cases
-    size = math.ceil(fraction * c)
-    if size >= c:
-        return matrix
-    src = rng.source()
-    # Partial Fisher-Yates: the first `size` slots are a uniform subset.
-    indices = list(range(c))
-    for i in range(size):
-        j = i + src.randbelow(c - i)
-        indices[i], indices[j] = indices[j], indices[i]
-    chosen = sorted(indices[:size])
-    case_labels = None
-    if matrix.case_labels is not None:
-        case_labels = tuple(matrix.case_labels[j] for j in chosen)
-    return ErrorMatrix(
-        matrix.losses[:, chosen],
-        kind=matrix.kind,
-        individual_labels=matrix.individual_labels,
-        case_labels=case_labels,
-    )

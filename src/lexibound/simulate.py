@@ -49,6 +49,15 @@ class RunStats:
     pool_size_profile: tuple[float, ...]
 
 
+def _mean_and_se(count: int, total: int, total_sq: int) -> tuple[float, float]:
+    """Mean and its standard error from exact integer sums of ``count`` samples."""
+    mean = total / count
+    if count < 2:
+        return mean, 0.0
+    variance = (total_sq - count * mean * mean) / (count - 1)
+    return mean, math.sqrt(max(variance, 0.0)) / math.sqrt(count)
+
+
 def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunStats:
     """Run ``trials`` independent selections (substreams 0..trials-1) and
     aggregate evaluation counts and the pool-size trajectory."""
@@ -67,12 +76,7 @@ def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunS
         iterations += int(block.steps.sum())
         columns.append((block.pool_sizes.sum(axis=0), len(m)))
 
-    mean = total / trials
-    if trials > 1:
-        variance = (total_sq - trials * mean * mean) / (trials - 1)
-        std_error = math.sqrt(max(variance, 0.0)) / math.sqrt(trials)
-    else:
-        std_error = 0.0
+    mean, std_error = _mean_and_se(trials, total, total_sq)
     # Trials of a block with fewer columns are absorbed at pool size 1.
     width = max(len(sums) for sums, _ in columns)
     profile_sums = sum(np.pad(sums, (0, width - len(sums)), constant_values=n) for sums, n in columns)
@@ -185,12 +189,7 @@ def drift_check(
     table = []
     for x in np.flatnonzero(counts).tolist():
         count, total, total_sq = int(counts[x]), int(totals[x]), int(totals_sq[x])
-        mean = total / count
-        if count > 1:
-            variance = (total_sq - count * mean * mean) / (count - 1)
-            se = math.sqrt(max(variance, 0.0)) / math.sqrt(count)
-        else:
-            se = 0.0
+        mean, se = _mean_and_se(count, total, total_sq)
         bound = x * factor
         table.append(
             DriftEntry(

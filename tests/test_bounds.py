@@ -10,7 +10,6 @@ from lexibound.bounds import (
     default_epsilon_grid,
     parse_epsilon_grid,
     sweep,
-    theorem_bound,
 )
 from lexibound.cli import render
 from lexibound.core import RngStream, deduplicate
@@ -21,24 +20,23 @@ from conftest import profile
 
 
 class TestTheoremBound:
+    """The bound 4N/eps + 2kC as a sweep reports it."""
+
     def test_formula_examples(self):
-        assert theorem_bound(1000, 100, 0.25, 5) == 17000.0
-        assert theorem_bound(4, 4, 1, 2) == 32.0
-        assert theorem_bound(1000, 100, 0.25, 5) / (1000 * 100) == pytest.approx(0.17)
+        # 4 rows that differ on all 4 cases: no pair is near at eps 1, so k = 2
+        (report,) = sweep(profile([[i] * 4 for i in range(4)]), [1])
+        assert (report.k, report.term_pool, report.term_cases) == (2, 16.0, 16.0)
+        assert (report.total, report.worst_case, report.ratio) == (32.0, 16.0, 2.0)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            theorem_bound(10, 10, 0.0, 2)
-        with pytest.raises(ValueError):
-            theorem_bound(10, 10, 1.1, 2)
-
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            theorem_bound(10, 10, 0.5, 1)
+        for eps in (0.0, 1.1):
+            with pytest.raises(ValueError, match="epsilon must be in"):
+                sweep(profile([[0], [1]]), [eps])
 
     def test_exact_decimal_epsilon(self):
         # 4 * 3 / 0.05 must be exactly 240, not a float-noise neighbour
-        assert theorem_bound(3, 1, 0.05, 2) == 240.0 + 4.0
+        (report,) = sweep(profile([[0], [1], [2]]), [0.05])
+        assert (report.k, report.term_pool, report.total) == (2, 240.0, 244.0)
 
 
 class TestGrid:

@@ -35,6 +35,16 @@ class TestOracleEquivalence:
         ok, detail = checks.oracle_equivalence(fixtures, 2000, 0.05)
         assert ok, detail
 
+    def test_all_zero_tv_names_the_first_fixture(self, dominated_profile):
+        # one behaviour always wins each fixture, so every TV is exactly 0
+        fixtures = [
+            ("dominated-triple", dominated_profile, dominated_profile, RngStream(3)),
+            ("single-case-pair", profile([[0], [1]]), profile([[0], [1]]), RngStream(4)),
+        ]
+        assert checks.oracle_equivalence(fixtures, 2000, 0.03) == (
+            True, "worst TV 0.0000 on dominated-triple (tolerance 0.03, 2000 trials)"
+        )
+
 
 class TestDefinitionEquivalence:
     def test_disagreeing_set_form_fails(self, two_triangles, monkeypatch):
@@ -69,7 +79,7 @@ class TestDriftInequality:
         """A hand-made result: k at eps 0.6, whatever the fixture's true k."""
         return SimilarityResult(
             epsilon=0.6, delta=0.0, alpha_lower=k - 1, alpha_upper=k - 1,
-            exact=exact, search_nodes=0, budget_exhausted=not exact,
+            exact=exact, search_nodes=0,
         )
 
     def test_too_small_k_flags(self):

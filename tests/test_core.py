@@ -183,7 +183,8 @@ class TestCsv:
     def test_round_trip_real_with_descriptor(self, tmp_path):
         m = rmatrix([[0.5, 1.25], [2.0, 3.75]])
         path = tmp_path / "m.csv"
-        write_matrix_csv(m, path, write_descriptor=True)
+        write_matrix_csv(m, path)
+        (tmp_path / "m.csv.json").write_text('{"kind": "real"}\n')
         back = read_matrix_csv(path)
         assert back.kind is LossKind.REAL
         assert np.array_equal(back.losses, m.losses)

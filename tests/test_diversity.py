@@ -16,7 +16,6 @@ from lexibound.diversity import (
     far_distance_threshold,
     graph_from_distances,
     pairwise_distance_matrix,
-    phenotypic_distance,
     similarity_bruteforce,
 )
 from lexibound import bounds
@@ -37,30 +36,28 @@ def brute_force_alpha(adjacency) -> int:
 
 
 class TestPhenotypicDistance:
+    """Distances as the pairwise table gives them."""
+
     def test_identical_rows(self):
         m = dmatrix([[1, 2, 3], [1, 2, 3]])
-        assert phenotypic_distance(m, 0, 1) == 0
+        assert pairwise_distance_matrix(m).tolist() == [[0, 0], [0, 0]]
 
     def test_direct_count(self):
         m = dmatrix([[0, 1, 0], [1, 0, 0]])
-        assert phenotypic_distance(m, 0, 1) == 2
+        assert pairwise_distance_matrix(m)[0, 1] == 2
 
     def test_real_delta(self):
         m = rmatrix([[1.0, 2.0], [1.05, 3.0]])
-        assert phenotypic_distance(m, 0, 1, delta=0.1) == 1
-
-    def test_rejects_same_index(self):
-        with pytest.raises(ValueError):
-            phenotypic_distance(dmatrix([[0], [1]]), 1, 1)
+        assert pairwise_distance_matrix(m, delta=0.1)[0, 1] == 1
 
     def test_rejects_nonzero_delta_for_discrete(self):
-        with pytest.raises(ValueError):
-            phenotypic_distance(dmatrix([[0], [1]]), 0, 1, delta=0.5)
+        with pytest.raises(ValueError, match="delta must be 0 for discrete losses"):
+            pairwise_distance_matrix(dmatrix([[0], [1]]), delta=0.5)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5])
     def test_rejects_non_finite_or_negative_delta(self, delta):
         with pytest.raises(ValueError, match="delta must be finite and >= 0"):
-            phenotypic_distance(rmatrix([[1.0], [2.0]]), 0, 1, delta=delta)
+            pairwise_distance_matrix(rmatrix([[1.0], [2.0]]), delta=delta)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -71,12 +68,11 @@ class TestPhenotypicDistance:
         )
     )
     def test_symmetry_and_zero_iff_duplicate(self, rows):
-        m = dmatrix(rows)
+        d = pairwise_distance_matrix(dmatrix(rows))
+        assert (d == d.T).all()
         for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                d_ij = phenotypic_distance(m, i, j)
-                assert d_ij == phenotypic_distance(m, j, i)
-                assert (d_ij == 0) == (rows[i] == rows[j])
+            for j in range(len(rows)):
+                assert (d[i, j] == 0) == (rows[i] == rows[j])
 
 
 class TestFarThreshold:
@@ -141,7 +137,7 @@ class TestCliqueNumber:
         res = clique_number(g)
         assert res.alpha_lower == res.alpha_upper == 1
         assert res.k_lower == res.k_upper == 2
-        assert res.exact and not res.budget_exhausted
+        assert res.exact
 
     def test_complete_graph(self):
         g = SimilarityGraph(5, ~np.eye(5, dtype=bool), 0.5, 0.0)
@@ -175,7 +171,7 @@ class TestCliqueNumber:
             res = clique_number(SimilarityGraph(n, adj, 0.5, 0.0), node_budget=2)
             assert res.alpha_lower <= truth <= res.alpha_upper
             if res.exact:
-                assert not res.budget_exhausted
+                assert res.alpha_lower == res.alpha_upper == truth
 
     def test_rejects_bad_budget(self):
         g = SimilarityGraph(2, np.zeros((2, 2), bool), 0.5, 0.0)
@@ -215,7 +211,7 @@ class TestCliqueSearchProperties:
     @given(small_graphs())
     def test_exact_and_equal_to_subset_oracle(self, adjacency):
         res = clique_number(_graph(adjacency))
-        assert res.exact and not res.budget_exhausted
+        assert res.exact
         assert res.alpha_lower == res.alpha_upper == brute_force_alpha(adjacency)
 
     @settings(max_examples=100, deadline=None)

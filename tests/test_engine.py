@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from lexibound import engine
 from lexibound.core import KindMismatchError, LossKind, RngStream, deduplicate
 from lexibound.engine import (
-    downsample_cases,
     lexicase_select,
     mad_thresholds,
     run_trials,
-    select_parents,
     static_epsilon_binarize,
 )
 from lexibound.popgen import gen_adversarial_single_case
@@ -198,32 +196,6 @@ class TestRunTrials:
             run_trials(identity_profile(rmatrix([[0.5], [1.5]])), 1, RngStream(0))
 
 
-class TestSelectParents:
-    def test_reproducible_bit_for_bit(self, dominated_profile):
-        a = select_parents(dominated_profile, 2, RngStream(5))
-        b = select_parents(dominated_profile, 2, RngStream(5))
-        assert a == b
-
-    def test_matches_per_substream_selection(self, dominated_profile):
-        rng = RngStream(5)
-        batch = select_parents(dominated_profile, 4, rng)
-        singles = [lexicase_select(dominated_profile, rng.substream(i)) for i in range(4)]
-        assert batch == singles
-
-    def test_singleton_many(self):
-        prof = profile([[1, 2, 3]])
-        traces = select_parents(prof, 1000, RngStream(0))
-        assert all(t.evaluations == 0 for t in traces)
-
-    def test_dominated_many(self, dominated_profile):
-        traces = select_parents(dominated_profile, 10_000, RngStream(9))
-        assert all(t.winner_unique_index == 2 for t in traces)
-
-    def test_rejects_bad_count(self, dominated_profile):
-        with pytest.raises(ValueError):
-            select_parents(dominated_profile, 0, RngStream(0))
-
-
 class TestBinarize:
     def test_definition_example(self):
         m = rmatrix([[1.0], [1.05], [2.0]])
@@ -305,39 +277,3 @@ class TestMadThresholds:
         with pytest.raises(KindMismatchError):
             mad_thresholds(dmatrix([[1, 2]]))
 
-
-class TestDownsample:
-    def test_full_fraction_is_identity(self):
-        m = dmatrix([[0, 1, 2], [3, 4, 5]])
-        assert downsample_cases(m, 1.0, RngStream(0)) == m
-
-    def test_half_of_ten(self):
-        m = dmatrix([list(range(10)), list(range(10, 20))])
-        out = downsample_cases(m, 0.5, RngStream(1))
-        assert out.n_cases == 5
-        assert len(set(out.losses[0].tolist())) == 5  # distinct columns
-
-    def test_deterministic(self):
-        m = dmatrix([list(range(10))] )
-        a = downsample_cases(m, 0.3, RngStream(4))
-        b = downsample_cases(m, 0.3, RngStream(4))
-        assert a == b
-
-    def test_labels_preserved(self):
-        import numpy as np
-        from lexibound.core import ErrorMatrix
-
-        m = ErrorMatrix(
-            np.array([[0, 1, 2, 3]], dtype=float),
-            case_labels=("a", "b", "c", "d"),
-        )
-        out = downsample_cases(m, 0.5, RngStream(2))
-        picked = [int(v) for v in out.losses[0]]
-        assert out.case_labels == tuple("abcd"[j] for j in picked)
-
-    def test_rejects_bad_fraction(self):
-        m = dmatrix([[0, 1]])
-        with pytest.raises(ValueError):
-            downsample_cases(m, 0.0, RngStream(0))
-        with pytest.raises(ValueError):
-            downsample_cases(m, 1.5, RngStream(0))
