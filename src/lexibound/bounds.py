@@ -22,6 +22,7 @@ from .diversity import (
 )
 
 __all__ = [
+    "DEFAULT_GRID",
     "BoundReport",
     "default_epsilon_grid",
     "parse_epsilon_grid",
@@ -29,6 +30,7 @@ __all__ = [
     "best_epsilon",
 ]
 
+DEFAULT_GRID = "0.05:0.60:0.05"  # start:stop:step, inclusive
 # Largest epsilon grid parse_epsilon_grid builds; each point costs a clique search.
 _GRID_MAX_POINTS = 10_000
 
@@ -49,8 +51,8 @@ class BoundReport:
 
 
 def default_epsilon_grid() -> tuple[Fraction, ...]:
-    """0.05 .. 0.60 in increments of 0.05, as exact fractions."""
-    return tuple(Fraction(i, 20) for i in range(1, 13))
+    """DEFAULT_GRID as exact fractions."""
+    return parse_epsilon_grid(DEFAULT_GRID)
 
 
 def parse_epsilon_grid(spec: str) -> tuple[Fraction, ...]:
@@ -96,7 +98,7 @@ def sweep(
         graph = graph_from_distances(distances, c, eps, delta)
         result = clique_number(graph, node_budget, lower_bound=lower if eps >= previous else 1)
         lower, previous = result.alpha_lower, eps
-        k = result.k_upper
+        k = result.k
         term_pool = float(Fraction(4 * n) / eps)
         term_cases = float(2 * k * c)
         total = term_pool + term_cases

@@ -18,9 +18,9 @@ from .diversity import epsilon_cluster_similarity, similarity_bruteforce
 
 def oracle_equivalence(fixtures, trials: int, tolerance: float) -> tuple[bool, str]:
     """Winner frequencies of ``trials`` selections are within total variation
-    ``tolerance`` of the permutation oracle. Fixtures are ``(name, profile,
-    sampled, rng)``: selections run on ``sampled``, which is ``profile``
-    unless a fault is injected."""
+    ``tolerance`` of the exact pool-recursion oracle. Fixtures are ``(name,
+    profile, sampled, rng)``: selections run on ``sampled``, which is
+    ``profile`` unless a fault is injected."""
     results = []
     for name, profile, sampled, rng in fixtures:
         exact = simulate.oracle_distribution(profile)

@@ -47,7 +47,6 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 
 SEED_ENV = "LEXIBOUND_SEED"
 DEFAULT_TRIALS = 10_000
-DEFAULT_GRID = "0.05:0.60:0.05"
 
 _GEN_FILE = re.compile(r"^gen_(\d+)\.csv$")
 
@@ -256,7 +255,7 @@ def cmd_genpop(args) -> int:
             params=params,
         )
     matrix = popgen.generate(spec)
-    write_matrix_csv(matrix, args.out, header=True)
+    write_matrix_csv(matrix, args.out)
     print(
         f"# wrote {matrix.n_individuals}x{matrix.n_cases} {spec.kind.value} matrix to {args.out}",
         file=sys.stderr,
@@ -350,26 +349,30 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+def _add_grid_flags(parser: argparse.ArgumentParser, analysis: bool = True) -> None:
+    """Epsilon grid and clique budget; ``analysis`` adds --delta and
+    --require-exact, which only the bound-sweep commands read."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--epsilon", help="single epsilon value (exact decimal, e.g. 0.25)")
     group.add_argument(
         "--epsilon-grid",
-        default=DEFAULT_GRID,
-        help=f"inclusive grid start:stop:step (default {DEFAULT_GRID})",
+        default=bounds.DEFAULT_GRID,
+        help=f"inclusive grid start:stop:step (default {bounds.DEFAULT_GRID})",
     )
-    parser.add_argument("--delta", type=float, help="loss tolerance (required for real matrices)")
+    if analysis:
+        parser.add_argument("--delta", type=float, help="loss tolerance (required for real matrices)")
     parser.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_NODE_BUDGET,
         help=f"clique search node budget (default {DEFAULT_NODE_BUDGET})",
     )
-    parser.add_argument(
-        "--require-exact",
-        action="store_true",
-        help="exit 3 instead of reporting bracketed k when the budget is exhausted",
-    )
+    if analysis:
+        parser.add_argument(
+            "--require-exact",
+            action="store_true",
+            help="exit 3 instead of reporting bracketed k when the budget is exhausted",
+        )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -406,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="binarize real losses with per-case MAD thresholds before selection",
     )
     p.add_argument("--check-bound", action="store_true", help="verify mean + 3*SE <= 4N/eps + 2kC")
-    _add_grid_flags(p)
+    _add_grid_flags(p, analysis=False)
     p.add_argument("--out", help="output file (default: standard output)")
     p.set_defaults(func=cmd_simulate)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -156,7 +156,6 @@ class DedupProfile:
 
     unique: ErrorMatrix
     groups: tuple[tuple[int, ...], ...]
-    _rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.groups) != self.unique.n_individuals:
@@ -180,9 +179,6 @@ class DedupProfile:
             if len(signatures) != self.unique.n_individuals:
                 raise MatrixError("unique matrix contains duplicate rows")
         object.__setattr__(self, "groups", groups)
-        # Plain-list row view for the selection inner loop (numpy row access
-        # is an order of magnitude slower at small pool sizes).
-        object.__setattr__(self, "_rows", self.unique.losses.tolist())
 
     @property
     def n_unique(self) -> int:
@@ -475,25 +471,18 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
         raise MatrixError(f"{path}: {exc}") from exc
 
 
-def write_matrix_csv(
-    matrix: ErrorMatrix,
-    path: str | Path,
-    header: bool = True,
-) -> None:
+def write_matrix_csv(matrix: ErrorMatrix, path: str | Path) -> None:
     """Write a matrix in the CSV interchange format (byte-stable output).
 
-    Discrete entries are written as bare integers, real ones via repr (exact
-    round-trip).
+    A header of case labels, then one line per row: discrete entries as bare
+    integers, real ones via repr (exact round-trip).
     """
-    path = Path(path)
-    lines: list[str] = []
-    if header:
-        labels = matrix.case_labels or tuple(f"case_{c}" for c in range(matrix.n_cases))
-        lines.append(",".join(labels))
+    labels = matrix.case_labels or tuple(f"case_{c}" for c in range(matrix.n_cases))
+    lines = [",".join(labels)]
     discrete = matrix.kind is LossKind.DISCRETE
     for row in matrix.losses:
         if discrete:
             lines.append(",".join(str(int(v)) for v in row))
         else:
             lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")

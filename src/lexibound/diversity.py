@@ -128,17 +128,9 @@ class SimilarityResult:
     search_nodes: int
 
     @property
-    def k_lower(self) -> int:
-        return self.alpha_lower + 1
-
-    @property
-    def k_upper(self) -> int:
-        return self.alpha_upper + 1
-
-    @property
     def k(self) -> int:
         """The similarity value; the conservative upper end when inexact."""
-        return self.k_upper
+        return self.alpha_upper + 1
 
 
 def graph_from_distances(

@@ -64,7 +64,7 @@ def lexicase_select(profile: DedupProfile, rng: RngStream) -> SelectionTrace:
     case, whose elite filter separates them, so the pool always ends at one.
     """
     profile.unique.require_kind(LossKind.DISCRETE, "lexicase_select")
-    rows = profile._rows
+    rows = profile.unique.losses.tolist()
     n_cases = profile.n_cases
     src = rng.source()
 

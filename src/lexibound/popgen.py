@@ -78,16 +78,6 @@ class GenSpec:
             raise ValueError("GenSpec params must be an object")
         return GenSpec(kind=kind, n=n, c=c, seed=seed, params=dict(params))
 
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind.value,
-            "n": self.n,
-            "c": self.c,
-            "seed": self.seed,
-            "params": self.params,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
 
 def gen_adversarial_single_case(n: int, c: int) -> ErrorMatrix:
     """Rows identical everywhere except case 0, where all losses differ.

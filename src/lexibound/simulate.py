@@ -1,16 +1,17 @@
 """Monte Carlo runtime estimation and exact small-instance oracles.
 
-Estimates live alongside two ground-truth routes: an exhaustive case-order
-enumeration for winner distributions on small instances, and the per-step
+Estimates live alongside two ground-truth routes: an exact recursion over
+selection pools for winner distributions on small instances, and the per-step
 drift table that checks the pool-shrinkage inequality
 E[X_{t+1} | X_t = x] <= x (1 - eps/4) for x >= 2k behind the runtime bound.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +28,7 @@ __all__ = [
     "drift_check",
 ]
 
-_ORACLE_MAX_CASES = 8
+# Bounds the oracle's pools to 2^12 and its recursion depth to 12.
 _ORACLE_MAX_UNIQUE = 12
 
 
@@ -102,37 +103,38 @@ def selection_distribution(profile: DedupProfile, trials: int, rng: RngStream) -
 def oracle_distribution(profile: DedupProfile) -> np.ndarray:
     """Exact winner probability per original individual.
 
-    Replays the filter chain for every permutation of the cases (all orders
-    are equally likely under without-replacement draws) and averages, then
-    splits each behavior's mass uniformly over its clones. Enumeration only:
-    C <= 8 and N_unique <= 12.
+    A drawn case either ties the whole pool, leaving it as it is, or splits
+    it; so the next case to split a pool is uniform over the cases that split
+    it, and a pool's winner distribution is the mean, over those cases, of
+    the distribution of the case's elites (the recursion of La Cava et al.,
+    2019). Pools are memoised and masses summed as exact fractions; each
+    behavior's mass is then split uniformly over its clones. N_unique <= 12.
     """
-    n_cases = profile.n_cases
     n_unique = profile.n_unique
-    if n_cases > _ORACLE_MAX_CASES:
-        raise ValueError(f"oracle enumeration limited to {_ORACLE_MAX_CASES} cases, got {n_cases}")
     if n_unique > _ORACLE_MAX_UNIQUE:
-        raise ValueError(f"oracle enumeration limited to {_ORACLE_MAX_UNIQUE} unique rows, got {n_unique}")
+        raise ValueError(f"oracle limited to {_ORACLE_MAX_UNIQUE} unique rows, got {n_unique}")
+    columns = profile.unique.losses.T.tolist()
 
-    rows = [tuple(row) for row in profile.unique.losses.tolist()]
-    weight_per_perm = 1.0 / math.factorial(n_cases)
-    prob_unique = [0.0] * n_unique
-    for perm in itertools.permutations(range(n_cases)):
-        pool = list(range(n_unique))
-        for case in perm:
-            if len(pool) == 1:
-                break
-            best = min(rows[i][case] for i in pool)
-            pool = [i for i in pool if rows[i][case] == best]
-        share = weight_per_perm / len(pool)
-        for i in pool:
-            prob_unique[i] += share
+    @functools.cache
+    def wins(pool: tuple[int, ...]) -> dict[int, Fraction]:
+        elites = []
+        for column in columns:
+            best = min(column[i] for i in pool)
+            elite = tuple(i for i in pool if column[i] == best)
+            if len(elite) < len(pool):
+                elites.append(elite)
+        if not elites:  # one row, or rows that tie on every case
+            return {i: Fraction(1, len(pool)) for i in pool}
+        mass: dict[int, Fraction] = {}
+        for elite in elites:  # per splitting case: two cases may leave one sub-pool
+            for i, p in wins(elite).items():
+                mass[i] = mass.get(i, 0) + p
+        return {i: p / len(elites) for i, p in mass.items()}
 
+    prob_unique = wins(tuple(range(n_unique)))
     out = np.zeros(profile.n_original, dtype=np.float64)
     for u, group in enumerate(profile.groups):
-        split = prob_unique[u] / len(group)
-        for original in group:
-            out[original] = split
+        out[list(group)] = float(prob_unique.get(u, 0)) / len(group)
     return out
 
 

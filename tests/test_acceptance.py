@@ -62,7 +62,7 @@ def family_runs():
 
 
 def test_criterion_1_oracle_equivalence():
-    with criterion(1, "lexicase winner distribution matches permutation oracle"):
+    with criterion(1, "lexicase winner distribution matches the exact pool-recursion oracle"):
         started = time.perf_counter()
         profiles = [
             ("dominated-triple", [[0, 1], [1, 0], [0, 0]]),

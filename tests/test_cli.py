@@ -354,6 +354,16 @@ class TestSimulate:
         assert "--binarize-mad" in capsys.readouterr().err
         assert run(["simulate", str(real), "--trials", "100", "--binarize-mad"]) == 0
 
+    @pytest.mark.parametrize("flag", [["--delta", "0"], ["--require-exact"]])
+    def test_analysis_only_flags_exit_2(self, flag, tmp_path, capsys):
+        # simulate binarizes real losses and never reads a tolerance or exactness flag
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n1,0\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", str(path), "--check-bound", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fast_passes(self, capsys):

@@ -136,14 +136,14 @@ class TestCliqueNumber:
         g = SimilarityGraph(5, np.zeros((5, 5), bool), 0.5, 0.0)
         res = clique_number(g)
         assert res.alpha_lower == res.alpha_upper == 1
-        assert res.k_lower == res.k_upper == 2
+        assert res.alpha_lower + 1 == res.k == 2
         assert res.exact
 
     def test_complete_graph(self):
         g = SimilarityGraph(5, ~np.eye(5, dtype=bool), 0.5, 0.0)
         res = clique_number(g)
         assert res.alpha_lower == 5
-        assert res.k_upper == 6
+        assert res.k == 6
 
     def test_random_graphs_match_subset_oracle(self):
         src = RngStream(100).source()

@@ -190,7 +190,8 @@ class TestGeneratorContracts:
 
     def test_genspec_round_trip_and_determinism(self):
         spec = GenSpec(kind=GenKind.RANDOM_UNIFORM, n=10, c=8, seed=77, params={"levels": 3})
-        again = GenSpec.from_json(spec.to_json())
+        text = '{"kind": "random_uniform", "n": 10, "c": 8, "seed": 77, "params": {"levels": 3}}'
+        again = GenSpec.from_json(text)
         assert again == spec
         assert generate(spec) == generate(again)
 

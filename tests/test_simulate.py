@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexibound.cli import render
 from lexibound.core import RngStream, deduplicate
@@ -26,6 +29,32 @@ from conftest import dmatrix, profile, random_rows
 
 def tv_distance(a, b) -> float:
     return 0.5 * float(np.abs(np.asarray(a) - np.asarray(b)).sum())
+
+
+def permutation_replay(rows) -> list[float]:
+    """Winner probability per row: the filter chain replayed on the original
+    rows for every case order, the winner uniform over the clones left."""
+    orders = list(itertools.permutations(range(len(rows[0]))))
+    out = [0.0] * len(rows)
+    for order in orders:
+        pool = list(range(len(rows)))
+        for case in order:
+            best = min(rows[i][case] for i in pool)
+            pool = [i for i in pool if rows[i][case] == best]
+        for i in pool:
+            out[i] += 1.0 / (len(orders) * len(pool))
+    return out
+
+
+@st.composite
+def populations_with_clones(draw):
+    """At most 6 rows over at most 5 cases and 2-3 loss levels, with clones."""
+    levels = draw(st.integers(min_value=2, max_value=3))
+    c = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=0, max_value=levels - 1), min_size=c, max_size=c)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6 - len(rows)))
+    return draw(st.permutations(rows))
 
 
 def log_binary_expected_evaluations(n: int, c: int) -> Fraction:
@@ -149,9 +178,18 @@ class TestOracleDistribution:
         sampled = selection_distribution(prof, 30_000, RngStream(11))
         assert tv_distance(exact, sampled) <= 0.03
 
+    def test_oracle_beyond_eight_cases(self):
+        # row i loses only on case i: every row wins by symmetry
+        prof = profile([[int(case == i) for case in range(12)] for i in range(12)])
+        assert oracle_distribution(prof).tolist() == [1 / 12] * 12
+
+    @settings(max_examples=150, deadline=None)
+    @given(populations_with_clones())
+    def test_matches_permutation_replay(self, rows):
+        exact = oracle_distribution(profile(rows))
+        assert np.abs(exact - permutation_replay(rows)).max() <= 1e-12
+
     def test_rejects_oversize_instances(self):
-        with pytest.raises(ValueError):
-            oracle_distribution(profile([[0] * 9 ] + [[1] * 9]))
         wide = profile([[i, i] for i in range(13)])
         with pytest.raises(ValueError):
             oracle_distribution(wide)
