@@ -29,10 +29,8 @@ from .diversity import (
     DEFAULT_NODE_BUDGET,
     SimilarityGraph,
     SimilarityResult,
-    build_similarity_graph,
     clique_number,
     covariance_mean,
-    epsilon_cluster_similarity,
     similarity_bruteforce,
 )
 from .bounds import (

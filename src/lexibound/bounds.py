@@ -10,6 +10,7 @@ error across the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .core import DedupProfile, exact_fraction
@@ -95,11 +96,15 @@ def sweep(
     # Edges only join as eps grows: a clique found at a smaller eps stays one.
     lower, previous = 1, grid[0]
     for eps in grid:
-        graph = graph_from_distances(distances, c, eps, delta)
+        graph = graph_from_distances(distances, c, eps)
+        try:
+            term_pool = float(Fraction(4 * n) / eps)
+        except OverflowError:
+            small = Decimal(eps.numerator) / eps.denominator
+            raise ValueError(f"epsilon {small:g} is too small: 4N/eps overflows a float") from None
         result = clique_number(graph, node_budget, lower_bound=lower if eps >= previous else 1)
         lower, previous = result.alpha_lower, eps
         k = result.k
-        term_pool = float(Fraction(4 * n) / eps)
         term_cases = float(2 * k * c)
         total = term_pool + term_cases
         reports.append(

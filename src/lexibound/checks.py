@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bounds, simulate
-from .diversity import epsilon_cluster_similarity, similarity_bruteforce
+from .diversity import similarity_bruteforce
 
 
 def oracle_equivalence(fixtures, trials: int, tolerance: float) -> tuple[bool, str]:
@@ -33,15 +33,16 @@ def oracle_equivalence(fixtures, trials: int, tolerance: float) -> tuple[bool, s
 
 
 def definition_equivalence(fixtures) -> tuple[bool, str]:
-    """The clique form of ``k``, found exactly, equals its set form at every
-    default grid epsilon. Fixtures are ``(name, profile)``."""
+    """The clique form of ``k`` that ``bounds.sweep`` finds, exactly and
+    warm-started, equals its set form at every default grid epsilon.
+    Fixtures are ``(name, profile)``."""
     checked = 0
+    grid = bounds.default_epsilon_grid()
     for name, profile in fixtures:
-        for eps in bounds.default_epsilon_grid():
+        for eps, report in zip(grid, bounds.sweep(profile, grid)):
             direct = similarity_bruteforce(profile, eps)
-            result = epsilon_cluster_similarity(profile, eps)
-            if result.k != direct or not result.exact:
-                detail = f"set-form k={direct} vs clique-form k={result.k} (exact: {result.exact})"
+            if report.k != direct or not report.exact_k:
+                detail = f"set-form k={direct} vs clique-form k={report.k} (exact: {report.exact_k})"
                 return False, f"{detail} at eps={eps} on {name}"
             checked += 1
     return True, f"{checked} (profile, epsilon) points agree"
@@ -61,13 +62,13 @@ def bound_monotonicity(fixtures) -> tuple[bool, str]:
 def drift_inequality(fixtures, trials: int) -> tuple[bool, str]:
     """``E[X'|x] <= x(1 - eps/4)`` at every pool size ``x >= 2k`` that
     ``trials`` selections reach, and they reach one. Fixtures are ``(name,
-    profile, similarity, rng)``, with the exact SimilarityResult at eps."""
+    profile, report, rng)``, with the profile's BoundReport at eps."""
     parts = []
-    for name, profile, similarity, rng in fixtures:
-        if not similarity.exact:
+    for name, profile, report, rng in fixtures:
+        if not report.exact_k:
             return False, f"clique budget exhausted on {name}"
-        k = similarity.k
-        table = simulate.drift_check(profile, similarity.epsilon, k, trials, rng)
+        k = report.k
+        table = simulate.drift_check(profile, report.epsilon, k, trials, rng)
         flagged = [entry.pool_size for entry in table if entry.flagged]
         parts.append(f"k={k}, {len(table)} pool sizes >= {2 * k} checked, flagged: {flagged or 'none'}")
         if flagged or not table:

@@ -36,7 +36,7 @@ from .core import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .diversity import DEFAULT_NODE_BUDGET, _resolve_delta, epsilon_cluster_similarity
+from .diversity import DEFAULT_NODE_BUDGET, _resolve_delta
 from .diversity import similarity_bruteforce  # noqa: F401  (a name the benchmark tracer wraps)
 
 EXIT_OK = 0
@@ -302,7 +302,7 @@ def _monotonicity_fixtures(seed: int):
 
 def _drift_fixtures(seed: int):
     profile = deduplicate(popgen.gen_clustered(24, 40, 3, 0.05, RngStream(seed, 800)))
-    yield "clustered-24x40", profile, epsilon_cluster_similarity(profile, 0.2), RngStream(seed, 801)
+    yield "clustered-24x40", profile, bounds.sweep(profile, ["0.2"])[0], RngStream(seed, 801)
 
 
 def _bound_runs(seed: int, trials: int):

@@ -78,7 +78,6 @@ class ErrorMatrix:
 
     losses: np.ndarray
     kind: LossKind = LossKind.DISCRETE
-    individual_labels: tuple[str, ...] | None = None
     case_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -100,11 +99,6 @@ class ErrorMatrix:
         arr = arr + 0.0
         arr.flags.writeable = False
         object.__setattr__(self, "losses", arr)
-        if self.individual_labels is not None:
-            labels = tuple(self.individual_labels)
-            if len(labels) != n:
-                raise MatrixError(f"{len(labels)} individual labels for {n} rows")
-            object.__setattr__(self, "individual_labels", labels)
         if self.case_labels is not None:
             labels = tuple(self.case_labels)
             if len(labels) != c:
@@ -137,7 +131,6 @@ class ErrorMatrix:
             self.kind is other.kind
             and self.losses.shape == other.losses.shape
             and self.losses.tobytes() == other.losses.tobytes()
-            and self.individual_labels == other.individual_labels
             and self.case_labels == other.case_labels
         )
 
@@ -226,15 +219,7 @@ def deduplicate(matrix: ErrorMatrix) -> DedupProfile:
             groups.append([i])
         else:
             groups[u].append(i)
-    labels = None
-    if matrix.individual_labels is not None:
-        labels = tuple(matrix.individual_labels[i] for i in order)
-    unique = ErrorMatrix(
-        matrix.losses[order],
-        kind=matrix.kind,
-        individual_labels=labels,
-        case_labels=matrix.case_labels,
-    )
+    unique = ErrorMatrix(matrix.losses[order], kind=matrix.kind, case_labels=matrix.case_labels)
     return DedupProfile(unique=unique, groups=tuple(tuple(g) for g in groups))
 
 

@@ -9,6 +9,10 @@ Small k means high diversity.
 Thresholds are compared exactly: an integer distance d is "far" iff
 d >= eps * C as rationals, so the set and graph formulations coincide for
 every epsilon, including non-integer eps * C.
+
+This module holds the layers: the distance table, its thresholded graph and
+the clique search. ``bounds.sweep`` is the one path from a profile to k.
+``similarity_bruteforce`` evaluates the set form directly, as a test oracle.
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ __all__ = [
     "SimilarityResult",
     "pairwise_distance_matrix",
     "far_distance_threshold",
-    "build_similarity_graph",
     "graph_from_distances",
     "clique_number",
-    "epsilon_cluster_similarity",
     "similarity_bruteforce",
     "covariance_mean",
 ]
@@ -96,8 +98,6 @@ class SimilarityGraph:
 
     n_vertices: int
     adjacency: np.ndarray  # symmetric bool, no self-loops
-    epsilon: float
-    delta: float
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -120,8 +120,6 @@ class SimilarityGraph:
 class SimilarityResult:
     """Clique number bracket and the similarity value k = alpha + 1."""
 
-    epsilon: float
-    delta: float
     alpha_lower: int
     alpha_upper: int
     exact: bool
@@ -133,32 +131,12 @@ class SimilarityResult:
         return self.alpha_upper + 1
 
 
-def graph_from_distances(
-    distances: np.ndarray, n_cases: int, epsilon, delta: float = 0.0
-) -> SimilarityGraph:
-    """Threshold a precomputed distance table into a similarity graph.
-
-    Shared by the epsilon sweep so the O(N^2 C) distance pass runs once;
-    equals building each graph independently from the matrix.
-    """
-    eps = exact_fraction(epsilon)
-    threshold = far_distance_threshold(eps, n_cases)
-    adjacency = distances < threshold
+def graph_from_distances(distances: np.ndarray, n_cases: int, epsilon) -> SimilarityGraph:
+    """Threshold a distance table into the similarity graph at epsilon; the
+    sweep computes the O(N^2 C) table once and thresholds it per epsilon."""
+    adjacency = distances < far_distance_threshold(epsilon, n_cases)
     np.fill_diagonal(adjacency, False)
-    return SimilarityGraph(
-        n_vertices=distances.shape[0],
-        adjacency=adjacency,
-        epsilon=float(eps),
-        delta=delta,
-    )
-
-
-def build_similarity_graph(profile: DedupProfile, epsilon, delta=None) -> SimilarityGraph:
-    """Pairwise-distance construction of the similarity graph (edge: the two
-    behaviors agree within delta on more than (1 - eps) * C cases)."""
-    delta = _resolve_delta(profile.unique.kind, delta)
-    distances = pairwise_distance_matrix(profile.unique, delta)
-    return graph_from_distances(distances, profile.n_cases, epsilon, delta)
+    return SimilarityGraph(n_vertices=distances.shape[0], adjacency=adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +292,11 @@ def clique_number(
         if not exhausted:
             upper = lower
     return SimilarityResult(
-        epsilon=graph.epsilon,
-        delta=graph.delta,
         alpha_lower=lower,
         alpha_upper=upper,
         exact=not exhausted,
         search_nodes=nodes,
     )
-
-
-def epsilon_cluster_similarity(
-    profile: DedupProfile,
-    epsilon,
-    delta=None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> SimilarityResult:
-    """Similarity k = clique number of the similarity graph + 1."""
-    graph = build_similarity_graph(profile, epsilon, delta)
-    return clique_number(graph, node_budget)
 
 
 def similarity_bruteforce(profile: DedupProfile, epsilon, delta=None) -> int:

@@ -244,12 +244,7 @@ def static_epsilon_binarize(matrix: ErrorMatrix, thresholds) -> ErrorMatrix:
         raise ValueError("thresholds must be non-negative")
     col_min = matrix.losses.min(axis=0)
     binary = np.where(matrix.losses <= col_min + thr, 0.0, 1.0)
-    return ErrorMatrix(
-        binary,
-        kind=LossKind.DISCRETE,
-        individual_labels=matrix.individual_labels,
-        case_labels=matrix.case_labels,
-    )
+    return ErrorMatrix(binary, kind=LossKind.DISCRETE, case_labels=matrix.case_labels)
 
 
 def mad_thresholds(matrix: ErrorMatrix) -> np.ndarray:

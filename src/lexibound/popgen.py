@@ -33,6 +33,7 @@ __all__ = [
 
 _MAX_RETRY_ROUNDS = 1000
 _CENTER_LEVELS = 4
+_SPEC_KEYS = ("kind", "n", "c", "seed", "params")
 
 
 class GenerationError(RuntimeError):
@@ -45,6 +46,13 @@ class GenKind(str, Enum):
     TWO_CLUSTER = "two_cluster"
     RANDOM_UNIFORM = "random_uniform"
     CLUSTERED = "clustered"
+
+
+# The params each kind reads, as name: (type, default).
+_KIND_PARAMS = {
+    GenKind.RANDOM_UNIFORM: {"levels": (int, 4)},
+    GenKind.CLUSTERED: {"clusters": (int, 2), "spread": (float, 0.05)},
+}
 
 
 @dataclass(frozen=True)
@@ -66,12 +74,15 @@ class GenSpec:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("GenSpec JSON must be an object")
+        unknown = [key for key in raw if key not in _SPEC_KEYS]
+        if unknown:
+            raise ValueError(f"invalid GenSpec: unknown key {unknown[0]!r} (keys: {', '.join(_SPEC_KEYS)})")
         try:
             kind = GenKind(raw["kind"])
             n = int(raw["n"])
             c = int(raw["c"])
             seed = int(raw.get("seed", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid GenSpec: {exc}") from exc
         params = raw.get("params", {})
         if not isinstance(params, dict):
@@ -183,8 +194,9 @@ def gen_clustered(
         raise ValueError(f"clusters must be >= 1, got {clusters}")
     if n < clusters:
         raise ValueError(f"n must be >= clusters, got n={n}, clusters={clusters}")
-    if not 0 <= spread < math.inf:
-        raise ValueError(f"spread must be finite and >= 0, got {spread}")
+    if not 0 <= spread < 1:
+        # floor(spread * c) perturbations never fit in c cases once spread >= 1.
+        raise ValueError(f"spread must be finite and in [0, 1), got {spread}")
     base, remainder = divmod(n, clusters)
     sizes = [base + 1 if g < remainder else base for g in range(clusters)]
     max_size = sizes[0]
@@ -253,17 +265,27 @@ def with_real_jitter(matrix: ErrorMatrix, delta: float, rng: RngStream) -> Error
     jitter = np.array(
         [[src.random() * delta / 4 for _ in range(matrix.n_cases)] for _ in range(matrix.n_individuals)]
     )
-    return ErrorMatrix(
-        matrix.losses * (2.0 * delta) + jitter,
-        kind=LossKind.REAL,
-        individual_labels=matrix.individual_labels,
-        case_labels=matrix.case_labels,
-    )
+    jittered = matrix.losses * (2.0 * delta) + jitter
+    return ErrorMatrix(jittered, kind=LossKind.REAL, case_labels=matrix.case_labels)
 
 
 def generate(spec: GenSpec) -> ErrorMatrix:
-    """Build the population described by a GenSpec (deterministic in seed)."""
-    params = spec.params
+    """Build the population described by a GenSpec (deterministic in seed).
+
+    Params are converted to the types their kind reads, with defaults for
+    absent ones; a param the kind does not read is an error, not ignored.
+    """
+    known = _KIND_PARAMS.get(spec.kind, {})
+    unknown = [key for key in spec.params if key not in known]
+    if unknown:
+        reads = ", ".join(known) or "none"
+        raise ValueError(f"invalid GenSpec: {spec.kind.value} reads no param {unknown[0]!r} (params: {reads})")
+    params = {}
+    for key, (kind, default) in known.items():
+        try:
+            params[key] = kind(spec.params.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"invalid GenSpec param {key!r}: {exc}") from None
     if spec.kind is GenKind.ADVERSARIAL_SINGLE_CASE:
         return gen_adversarial_single_case(spec.n, spec.c)
     if spec.kind is GenKind.LOG_BINARY:
@@ -271,10 +293,7 @@ def generate(spec: GenSpec) -> ErrorMatrix:
     if spec.kind is GenKind.TWO_CLUSTER:
         return gen_two_cluster(spec.n, spec.c)
     if spec.kind is GenKind.RANDOM_UNIFORM:
-        levels = int(params.get("levels", 4))
-        return gen_random_uniform(spec.n, spec.c, levels, RngStream(spec.seed))
+        return gen_random_uniform(spec.n, spec.c, params["levels"], RngStream(spec.seed))
     if spec.kind is GenKind.CLUSTERED:
-        clusters = int(params.get("clusters", 2))
-        spread = float(params.get("spread", 0.05))
-        return gen_clustered(spec.n, spec.c, clusters, spread, RngStream(spec.seed))
+        return gen_clustered(spec.n, spec.c, params["clusters"], params["spread"], RngStream(spec.seed))
     raise ValueError(f"unknown generator kind: {spec.kind}")

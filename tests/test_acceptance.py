@@ -14,7 +14,7 @@ import pytest
 from lexibound import checks, cli
 from lexibound.bounds import best_epsilon, sweep
 from lexibound.core import RngStream, deduplicate, write_matrix_csv
-from lexibound.diversity import covariance_mean, epsilon_cluster_similarity, pairwise_distance_matrix
+from lexibound.diversity import covariance_mean, pairwise_distance_matrix
 from lexibound.popgen import (
     gen_adversarial_single_case,
     gen_clustered,
@@ -154,8 +154,8 @@ def test_criterion_5_two_cluster_counterexample():
         average = float(pairs.mean())
         assert average >= 0.4 * c, f"average distance {average}"
 
-        result = epsilon_cluster_similarity(prof, 0.9)
-        assert result.exact
+        result = sweep(prof, [0.9])[0]
+        assert result.exact_k
         assert result.k == 11 == n // 2 + 1
 
         stats = estimate_runtime(prof, TRIALS, RngStream(6000))
@@ -188,8 +188,8 @@ def test_criterion_7_drift_inequality():
         runs = []
         for i, (matrix, eps, expected_k) in enumerate(fixtures):
             prof = deduplicate(matrix)
-            result = epsilon_cluster_similarity(prof, eps)
-            assert result.exact and result.k == expected_k
+            result = sweep(prof, [eps])[0]
+            assert result.exact_k and result.k == expected_k
             runs.append((f"clustered fixture {i}", prof, result, RngStream(7100, i)))
         # every fixture must exercise pool sizes >= 2k and flag none
         ok, detail = checks.drift_inequality(runs, TRIALS)
@@ -230,13 +230,13 @@ def test_criterion_8_covariance_baseline():
         # more correlated).
         n, c = 20, 40
         two_cluster = gen_two_cluster(n, c)
-        k_tc = epsilon_cluster_similarity(deduplicate(two_cluster), 0.9).k
+        k_tc = sweep(deduplicate(two_cluster), [0.9])[0].k
         assert k_tc == n // 2 + 1
         cov_tc = covariance_mean(two_cluster)
         assert abs(cov_tc) < 0.01
 
         random_matrix = gen_random_uniform(n, c, 4, RngStream(8001))
-        k_rand = epsilon_cluster_similarity(deduplicate(random_matrix), 0.5).k
+        k_rand = sweep(deduplicate(random_matrix), [0.5])[0].k
         assert k_rand == 2  # maximal diversity by the cluster measure
         cov_rand = covariance_mean(random_matrix)
         assert cov_rand > 5 * abs(cov_tc)  # covariance ranks them the other way

@@ -8,10 +8,10 @@ from dataclasses import replace
 
 import pytest
 
-from lexibound import checks
+from lexibound import bounds, checks
 from lexibound.bounds import sweep
 from lexibound.core import RngStream
-from lexibound.diversity import SimilarityResult, epsilon_cluster_similarity, similarity_bruteforce
+from lexibound.diversity import clique_number, similarity_bruteforce
 from lexibound.popgen import gen_adversarial_single_case
 from lexibound.simulate import estimate_runtime
 
@@ -55,11 +55,27 @@ class TestDefinitionEquivalence:
         assert detail.endswith("at eps=1/20 on two-triangles")
 
     def test_inexact_clique_search_fails(self, two_triangles, monkeypatch):
-        inexact = lambda prof, eps: replace(epsilon_cluster_similarity(prof, eps), exact=False)  # noqa: E731
-        monkeypatch.setattr(checks, "epsilon_cluster_similarity", inexact)
+        def inexact(graph, node_budget, *, lower_bound):
+            return replace(clique_number(graph, node_budget, lower_bound=lower_bound), exact=False)
+
+        monkeypatch.setattr(bounds, "clique_number", inexact)
         ok, detail = checks.definition_equivalence([("two-triangles", two_triangles)])
         assert not ok
         assert "(exact: False)" in detail and detail.endswith("on two-triangles")
+
+    def test_wrong_warm_started_search_fails(self, two_triangles, monkeypatch):
+        # the check must run the sweep's warm-started searches, not cold ones:
+        # alpha is 1 up to eps 0.2 and 3 from 0.25, so 0.3 is the first warm call
+        def wrong_when_warm(graph, node_budget, *, lower_bound):
+            result = clique_number(graph, node_budget, lower_bound=lower_bound)
+            if lower_bound > 1:
+                result = replace(result, alpha_lower=result.alpha_lower + 1, alpha_upper=result.alpha_upper + 1)
+            return result
+
+        monkeypatch.setattr(bounds, "clique_number", wrong_when_warm)
+        ok, detail = checks.definition_equivalence([("two-triangles", two_triangles)])
+        assert not ok
+        assert detail == "set-form k=4 vs clique-form k=5 (exact: True) at eps=3/10 on two-triangles"
 
 
 class TestBoundMonotonicity:
@@ -75,30 +91,27 @@ class TestBoundMonotonicity:
 class TestDriftInequality:
     ADVERSARIAL = profile(gen_adversarial_single_case(30, 30).losses.tolist())
 
-    def similarity(self, k, exact=True):
-        """A hand-made result: k at eps 0.6, whatever the fixture's true k."""
-        return SimilarityResult(
-            epsilon=0.6, delta=0.0, alpha_lower=k - 1, alpha_upper=k - 1,
-            exact=exact, search_nodes=0,
-        )
+    def report(self, k, exact=True):
+        """The fixture's report at eps 0.6 with a hand-set k, whatever its true k."""
+        return replace(sweep(self.ADVERSARIAL, ["0.6"])[0], k=k, exact_k=exact)
 
     def test_too_small_k_flags(self):
         # the pool stays at 30 until case 0 is drawn: E[X'|30] ~ 28.2 > 30 * (1 - 0.6/4)
-        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.similarity(2), RngStream(4))]
+        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.report(2), RngStream(4))]
         ok, detail = checks.drift_inequality(fixtures, 1000)
         assert not ok
         assert "flagged: [" in detail and detail.endswith("on adversarial-30x30")
 
     def test_no_pool_size_reached_fails(self):
-        result = epsilon_cluster_similarity(self.ADVERSARIAL, 0.2)
-        assert result.exact and 2 * result.k > 30
+        result = sweep(self.ADVERSARIAL, [0.2])[0]
+        assert result.exact_k and 2 * result.k > 30
         fixtures = [("adversarial-30x30", self.ADVERSARIAL, result, RngStream(5))]
         ok, detail = checks.drift_inequality(fixtures, 1000)
         assert not ok
         assert detail.startswith(f"k={result.k}, 0 pool sizes") and detail.endswith("on adversarial-30x30")
 
     def test_inexact_k_fails(self):
-        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.similarity(2, exact=False), RngStream(6))]
+        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.report(2, exact=False), RngStream(6))]
         assert checks.drift_inequality(fixtures, 1000) == (False, "clique budget exhausted on adversarial-30x30")
 
 

@@ -249,6 +249,61 @@ class TestInputErrors:
         assert run(argv + ["--spread", spread, "--out", str(tmp_path / "x.csv")]) == 2
         assert "spread must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["analyze", "pop.csv", "--epsilon", "1e-310"], "1e-310"),
+            (["analyze", "pop.csv", "--epsilon", "1e-400"], "1e-400"),
+            (["analyze", "pop.csv", "--epsilon-grid", "1e-320:1e-319:1e-320"], "1e-320"),
+            (["simulate", "pop.csv", "--trials", "10", "--check-bound", "--epsilon", "1e-310"], "1e-310"),
+        ],
+    )
+    def test_tiny_epsilon_exits_2(self, argv, value, tmp_path, monkeypatch, capsys):
+        # 4N/eps would overflow a float
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pop.csv").write_text("0,1\n1,0\n1,1\n")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"lexibound: error: epsilon {value} is too small: 4N/eps overflows a float\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--kind", "clustered", "--n", "4", "--c", "100", "--clusters", "2", "--spread", "1e307"],
+                "spread must be finite and in [0, 1), got 1e+307",
+            ),
+            (
+                ["--kind", "two_cluster", "--n", "6", "--c", "10", "--levels", "3"],
+                "two_cluster reads no param 'levels'",
+            ),
+            (
+                ["--spec", '{"kind": "clustered", "n": 4, "c": 100, "params": {"clusters": [2]}}'],
+                "invalid GenSpec param 'clusters': int() argument must be",
+            ),
+            (
+                ["--spec", '{"kind": "random_uniform", "n": 4, "c": 4, "params": {"levels": 1e400}}'],
+                "invalid GenSpec param 'levels': cannot convert float infinity to integer",
+            ),
+            (
+                ["--spec", '{"kind": "random_uniform", "n": 4, "c": 4, "params": {"levls": 3}}'],
+                "random_uniform reads no param 'levls' (params: levels)",
+            ),
+            (
+                ["--spec", '{"kind": "two_cluster", "n": 6, "c": 10, "sed": 5}'],
+                "invalid GenSpec: unknown key 'sed'",
+            ),
+            (["--spec", '{"kind": "two_cluster", "n": 1e400, "c": 10}'], "invalid GenSpec: cannot convert float"),
+        ],
+    )
+    def test_genpop_bad_param_exits_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["genpop"] + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lexibound: error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweepRun:
     def _write_generations(self, tmp_path, matrices):

@@ -47,8 +47,6 @@ class TestErrorMatrix:
 
     def test_label_length_validation(self):
         with pytest.raises(MatrixError):
-            ErrorMatrix(np.zeros((2, 2)), individual_labels=("a",))
-        with pytest.raises(MatrixError):
             ErrorMatrix(np.zeros((2, 2)), case_labels=("a", "b", "c"))
 
     def test_immutable_after_construction(self):

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from lexibound.core import RngStream, deduplicate, identity_profile
 from lexibound.diversity import (
     SimilarityGraph,
-    build_similarity_graph,
     clique_number,
     covariance_mean,
-    epsilon_cluster_similarity,
     far_distance_threshold,
     graph_from_distances,
     pairwise_distance_matrix,
     similarity_bruteforce,
 )
 from lexibound import bounds
-from lexibound.bounds import default_epsilon_grid
+from lexibound.bounds import default_epsilon_grid, sweep
 from conftest import dmatrix, profile, random_rows, rmatrix
 
 
@@ -96,11 +94,11 @@ class TestSimilarityGraph:
         m = dmatrix([[i] * 4 for i in range(5)])
         prof = deduplicate(m)
         for eps in default_epsilon_grid():
-            g = build_similarity_graph(prof, eps)
+            g = _similarity_graph(prof, eps)
             assert g.n_edges == 0
 
     def test_two_triangles(self, two_triangles):
-        g = build_similarity_graph(two_triangles, 0.5)
+        g = _similarity_graph(two_triangles, 0.5)
         # brute-force distance table oracle
         losses = two_triangles.unique.losses
         for a in range(6):
@@ -121,26 +119,26 @@ class TestSimilarityGraph:
     def test_epsilon_near_zero_empty_on_deduped(self):
         prof = profile(random_rows(2, 7, 5, 2))
         eps = Fraction(1, 2 * prof.n_cases)
-        g = build_similarity_graph(prof, eps)
+        g = _similarity_graph(prof, eps)
         assert g.n_edges == 0  # no duplicates, so all distances >= 1
 
     def test_rejects_asymmetric(self):
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 1] = True
         with pytest.raises(ValueError):
-            SimilarityGraph(2, adj, 0.5, 0.0)
+            SimilarityGraph(2, adj)
 
 
 class TestCliqueNumber:
     def test_empty_graph(self):
-        g = SimilarityGraph(5, np.zeros((5, 5), bool), 0.5, 0.0)
+        g = SimilarityGraph(5, np.zeros((5, 5), bool))
         res = clique_number(g)
         assert res.alpha_lower == res.alpha_upper == 1
         assert res.alpha_lower + 1 == res.k == 2
         assert res.exact
 
     def test_complete_graph(self):
-        g = SimilarityGraph(5, ~np.eye(5, dtype=bool), 0.5, 0.0)
+        g = SimilarityGraph(5, ~np.eye(5, dtype=bool))
         res = clique_number(g)
         assert res.alpha_lower == 5
         assert res.k == 6
@@ -154,7 +152,7 @@ class TestCliqueNumber:
                 for j in range(i + 1, n):
                     if src.random() < 0.5:
                         adj[i][j] = adj[j][i] = True
-            res = clique_number(SimilarityGraph(n, adj, 0.5, 0.0))
+            res = clique_number(SimilarityGraph(n, adj))
             assert res.exact
             assert res.alpha_lower == brute_force_alpha(adj)
 
@@ -168,19 +166,23 @@ class TestCliqueNumber:
                     if src.random() < 0.6:
                         adj[i][j] = adj[j][i] = True
             truth = brute_force_alpha(adj)
-            res = clique_number(SimilarityGraph(n, adj, 0.5, 0.0), node_budget=2)
+            res = clique_number(SimilarityGraph(n, adj), node_budget=2)
             assert res.alpha_lower <= truth <= res.alpha_upper
             if res.exact:
                 assert res.alpha_lower == res.alpha_upper == truth
 
     def test_rejects_bad_budget(self):
-        g = SimilarityGraph(2, np.zeros((2, 2), bool), 0.5, 0.0)
+        g = SimilarityGraph(2, np.zeros((2, 2), bool))
         with pytest.raises(ValueError):
             clique_number(g, node_budget=0)
 
 
+def _similarity_graph(prof, eps) -> SimilarityGraph:
+    return graph_from_distances(pairwise_distance_matrix(prof.unique), prof.n_cases, eps)
+
+
 def _graph(adjacency) -> SimilarityGraph:
-    return SimilarityGraph(adjacency.shape[0], adjacency, 0.5, 0.0)
+    return SimilarityGraph(adjacency.shape[0], adjacency)
 
 
 def _union_of_cliques(labels) -> np.ndarray:
@@ -247,7 +249,7 @@ class TestCliqueSearchProperties:
         prof = profile(rows)
         for epsilons in (sorted(grid), sorted(grid, reverse=True)):
             for report, eps in zip(bounds.sweep(prof, epsilons), epsilons):
-                res = clique_number(build_similarity_graph(prof, eps))
+                res = clique_number(_similarity_graph(prof, eps))
                 assert (report.k, report.exact_k) == (res.k, res.exact)
 
     def test_sweep_warm_starts_each_call(self, monkeypatch):
@@ -270,38 +272,38 @@ class TestCliqueSearchProperties:
 class TestEpsilonClusterSimilarity:
     def test_two_cluster_paper_value(self, two_triangles):
         # half the population plus one, even at epsilon 0.9
-        res = epsilon_cluster_similarity(two_triangles, 0.9)
-        assert res.exact
+        res = sweep(two_triangles, [0.9])[0]
+        assert res.exact_k
         assert res.k == 6 // 2 + 1
 
     def test_max_distant_population(self):
         prof = deduplicate(dmatrix([[i] * 4 for i in range(5)]))
         for eps in default_epsilon_grid():
-            assert epsilon_cluster_similarity(prof, eps).k == 2
+            assert sweep(prof, [eps])[0].k == 2
 
     def test_matches_bruteforce_across_grid(self):
         for trial in range(12):
             prof = profile(random_rows(400 + trial, 8, 6, 2))
             for eps in default_epsilon_grid():
-                k_graph = epsilon_cluster_similarity(prof, eps).k
+                k_graph = sweep(prof, [eps])[0].k
                 k_set = similarity_bruteforce(prof, eps)
                 assert k_graph == k_set, (trial, eps)
 
     def test_monotone_in_epsilon(self, two_triangles):
         grid = default_epsilon_grid()
-        ks = [epsilon_cluster_similarity(two_triangles, e).k for e in grid]
+        ks = [sweep(two_triangles, [e])[0].k for e in grid]
         assert all(a <= b for a, b in zip(ks, ks[1:]))
 
     def test_k_bounds(self):
         prof = profile(random_rows(7, 5, 4, 2))
         for eps in default_epsilon_grid():
-            k = epsilon_cluster_similarity(prof, eps).k
+            k = sweep(prof, [eps])[0].k
             assert 2 <= k <= prof.n_unique + 1
 
     def test_real_kind_requires_explicit_delta(self):
         prof = identity_profile(rmatrix([[0.5, 1.5], [1.0, 0.25]]))
         with pytest.raises(ValueError, match="delta"):
-            epsilon_cluster_similarity(prof, 0.5)
+            sweep(prof, [0.5])
 
     def test_real_kind_with_delta_matches_discrete(self):
         from lexibound.popgen import with_real_jitter
@@ -313,8 +315,8 @@ class TestEpsilonClusterSimilarity:
         prof_r = identity_profile(real)
         for eps in (0.1, 0.3, 0.5):
             assert (
-                epsilon_cluster_similarity(prof_r, eps, delta=delta).k
-                == epsilon_cluster_similarity(prof_d, eps).k
+                sweep(prof_r, [eps], delta)[0].k
+                == sweep(prof_d, [eps])[0].k
             )
 
 
@@ -369,13 +371,3 @@ class TestCovarianceMean:
     def test_single_individual(self):
         # 1x1 covariance matrix holding the row's variance
         assert covariance_mean(dmatrix([[0, 1, 2]])) == pytest.approx(1.0)
-
-
-class TestSharedDistanceConstruction:
-    def test_graph_from_distances_equals_direct(self):
-        prof = profile(random_rows(70, 9, 7, 3))
-        distances = pairwise_distance_matrix(prof.unique)
-        for eps in default_epsilon_grid():
-            shared = graph_from_distances(distances, prof.n_cases, eps)
-            direct = build_similarity_graph(prof, eps)
-            assert np.array_equal(shared.adjacency, direct.adjacency)

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lexibound.bounds import sweep
 from lexibound.core import RngStream, deduplicate, identity_profile
-from lexibound.diversity import (
-    epsilon_cluster_similarity,
-    pairwise_distance_matrix,
-    similarity_bruteforce,
-)
+from lexibound.diversity import pairwise_distance_matrix, similarity_bruteforce
 from lexibound.popgen import (
     GenKind,
     GenSpec,
@@ -80,7 +77,7 @@ class TestTwoCluster:
 
     def test_paper_k_value(self):
         prof = deduplicate(gen_two_cluster(6, 10))
-        assert epsilon_cluster_similarity(prof, 0.9).k == 4  # n/2 + 1
+        assert sweep(prof, [0.9])[0].k == 4  # n/2 + 1
 
     def test_average_distance_large(self):
         m = gen_two_cluster(6, 10)
@@ -203,6 +200,19 @@ class TestGeneratorContracts:
         with pytest.raises(ValueError):
             GenSpec.from_json("[1, 2]")
 
+    def test_generate_rejects_params_the_kind_does_not_read(self):
+        with pytest.raises(ValueError, match="two_cluster reads no param 'levels' \\(params: none\\)"):
+            generate(GenSpec(GenKind.TWO_CLUSTER, 4, 5, params={"levels": 3}))
+        with pytest.raises(ValueError, match="clustered reads no param 'level'"):
+            generate(GenSpec(GenKind.CLUSTERED, 4, 8, params={"clusters": 2, "level": 3}))
+
+    def test_generate_converts_param_types(self):
+        as_text = GenSpec(GenKind.CLUSTERED, 4, 8, seed=1, params={"clusters": "2", "spread": "0"})
+        typed = GenSpec(GenKind.CLUSTERED, 4, 8, seed=1, params={"clusters": 2, "spread": 0.0})
+        assert generate(as_text) == generate(typed)
+        with pytest.raises(ValueError, match="invalid GenSpec param 'spread'"):
+            generate(GenSpec(GenKind.CLUSTERED, 4, 8, params={"spread": [0.1]}))
+
     def test_generate_dispatches_all_kinds(self):
         specs = [
             GenSpec(GenKind.ADVERSARIAL_SINGLE_CASE, 4, 5),
@@ -233,8 +243,8 @@ class TestRealJitter:
         prof_r = identity_profile(real)
         for eps in (0.05, 0.3, 0.5, 0.9):
             assert (
-                epsilon_cluster_similarity(prof_r, eps, delta=delta).k
-                == epsilon_cluster_similarity(prof_d, eps).k
+                sweep(prof_r, [eps], delta)[0].k
+                == sweep(prof_d, [eps])[0].k
             )
 
     def test_rejects_bad_input(self):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexibound.bounds import sweep
 from lexibound.cli import render
 from lexibound.core import RngStream, deduplicate
-from lexibound.diversity import epsilon_cluster_similarity
 from lexibound.popgen import (
     gen_adversarial_single_case,
     gen_clustered,
@@ -214,8 +214,8 @@ class TestDriftCheck:
     def test_clustered_zero_flags(self):
         prof = deduplicate(gen_clustered(24, 40, 3, 0.05, RngStream(0, 800)))
         eps = 0.2
-        result = epsilon_cluster_similarity(prof, eps)
-        assert result.exact and result.k == 9
+        result = sweep(prof, [eps])[0]
+        assert result.exact_k and result.k == 9
         table = drift_check(prof, eps, result.k, 3_000, RngStream(14))
         assert table  # pool sizes >= 18 do occur (X_0 = 24)
         assert not any(entry.flagged for entry in table)
