@@ -205,6 +205,8 @@ def cmd_simulate(args) -> int:
             )
         matrix = engine.static_epsilon_binarize(matrix, engine.mad_thresholds(matrix))
     profile = deduplicate(matrix)
+    # The sweep validates the epsilon grid, so a bad --epsilon fails before the trials run.
+    reports = bounds.sweep(profile, _epsilon_grid(args), 0.0, args.budget) if args.check_bound else None
     stats = simulate.estimate_runtime(profile, args.trials, RngStream(seed))
     payload = {
         "matrix": args.matrix,
@@ -216,8 +218,7 @@ def cmd_simulate(args) -> int:
     }
 
     code = EXIT_OK
-    if args.check_bound:
-        reports = bounds.sweep(profile, _epsilon_grid(args), 0.0, args.budget)
+    if reports is not None:
         rows = payload["bound_checks"] = checks.bound_rows(stats, reports)
         violations = [row["epsilon"] for row in rows if row["satisfied"] is False]
         if violations:

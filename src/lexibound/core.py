@@ -4,6 +4,9 @@ All other modules build on the types here. Matrices are immutable after
 construction and safe to share across concurrent tasks; every stochastic
 operation takes an explicit :class:`RngStream`, so there is no global RNG
 state anywhere in the package.
+
+:func:`read_matrix_csv` reads all-integer files with numpy's C parser and
+every other file, and every error, with the per-cell reference reader.
 """
 
 from __future__ import annotations
@@ -392,13 +395,13 @@ def _sidecar_kind(path: Path) -> LossKind | None:
     return LossKind(kind)
 
 
-def read_matrix_csv(path: str | Path) -> ErrorMatrix:
-    """Parse a loss matrix from CSV (with optional sidecar kind descriptor).
+def _header_labels(row: list[str]) -> tuple[str, ...] | None:
+    """The first row's stripped cells as case labels, if none is a number."""
+    cells = tuple(cell.strip() for cell in row)
+    return None if any(_is_float_literal(cell) for cell in cells) else cells
 
-    Raises :class:`MatrixError` naming the offending 1-based line on ragged
-    or non-numeric rows.
-    """
-    path = Path(path)
+
+def _read_lines(path: Path) -> list[str]:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -406,15 +409,70 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()  # trailing blank lines end the file; blank lines inside it are errors
+    return lines
+
+
+def read_matrix_csv(path: str | Path) -> ErrorMatrix:
+    """Parse a loss matrix from CSV (with optional sidecar kind descriptor).
+
+    Raises :class:`MatrixError` naming the offending 1-based line on ragged
+    or non-numeric rows.
+
+    A file of plain integer cells is read by numpy's C parser. That path
+    accepts only a subset of what the per-cell reference reader accepts, and
+    reads it to the same values; anything else, every error included, goes
+    through the reference reader, which writes all error messages.
+    """
+    path = Path(path)
+    lines = _read_lines(path)
+    parsed = _read_int_body(lines)
+    if parsed is None:
+        return _read_matrix_reference(path, lines)
+    losses, case_labels = parsed
+    return ErrorMatrix(losses, kind=_sidecar_kind(path) or LossKind.DISCRETE, case_labels=case_labels)
+
+
+def _read_int_body(lines: list[str]) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """The int64 body and header labels of an all-integer file, or None.
+
+    None means the reference reader must decide: a cell that is not a plain
+    int64 literal, a blank line inside the body (``loadtxt`` would skip it), a
+    ragged row, a header of the wrong width, or a cell beyond 2**53.
+    """
+    if not lines:
+        return None
+    try:
+        # strict: a quote left open on the first line would continue onto the
+        # next lines in the reference reader's first row.
+        case_labels = _header_labels(next(csv.reader(lines[:1], strict=True)))
+    except csv.Error:
+        return None
+    body = lines if case_labels is None else lines[1:]
+    if not body:
+        return None
+    try:
+        losses = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if losses.shape[0] != len(body) or (case_labels is not None and len(case_labels) != losses.shape[1]):
+        return None
+    # Compared as ints: abs() overflows at the int64 minimum, and a float
+    # bound would round 2**53 + 1 down to 2**53.
+    if (losses > 2**53).any() or (losses < -(2**53)).any():
+        return None
+    return losses, case_labels
+
+
+def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:
+    """The per-cell reader: every file the fast path declines, and the
+    reference it is tested against."""
     rows = list(csv.reader(lines))
     if not rows:
         raise MatrixError(f"{path}: empty file")
 
-    case_labels = None
+    case_labels = _header_labels(rows[0])
     start_line = 1
-    first = [cell.strip() for cell in rows[0]]
-    if not any(_is_float_literal(cell) for cell in first):
-        case_labels = tuple(first)
+    if case_labels is not None:
         start_line = 2
         rows = rows[1:]
         if not rows:

@@ -55,6 +55,15 @@ _KIND_PARAMS = {
 }
 
 
+def _as_int(value, key: str) -> int:
+    """``int(value)``, refusing a bool and a float ``int`` would change:
+    6.7 is not silently 6, nor ``true`` 1 (the text "6" still reads as 6)."""
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Declarative description of a generated population.
@@ -79,9 +88,9 @@ class GenSpec:
             raise ValueError(f"invalid GenSpec: unknown key {unknown[0]!r} (keys: {', '.join(_SPEC_KEYS)})")
         try:
             kind = GenKind(raw["kind"])
-            n = int(raw["n"])
-            c = int(raw["c"])
-            seed = int(raw.get("seed", 0))
+            n = _as_int(raw["n"], "n")
+            c = _as_int(raw["c"], "c")
+            seed = _as_int(raw.get("seed", 0), "seed")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid GenSpec: {exc}") from exc
         params = raw.get("params", {})
@@ -282,8 +291,9 @@ def generate(spec: GenSpec) -> ErrorMatrix:
         raise ValueError(f"invalid GenSpec: {spec.kind.value} reads no param {unknown[0]!r} (params: {reads})")
     params = {}
     for key, (kind, default) in known.items():
+        value = spec.params.get(key, default)
         try:
-            params[key] = kind(spec.params.get(key, default))
+            params[key] = _as_int(value, key) if kind is int else kind(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid GenSpec param {key!r}: {exc}") from None
     if spec.kind is GenKind.ADVERSARIAL_SINGLE_CASE:

@@ -295,6 +295,19 @@ class TestInputErrors:
                 "invalid GenSpec: unknown key 'sed'",
             ),
             (["--spec", '{"kind": "two_cluster", "n": 1e400, "c": 10}'], "invalid GenSpec: cannot convert float"),
+            (
+                ["--spec", '{"kind": "random_uniform", "n": 6.7, "c": 5, "params": {"levels": 2}}'],
+                "invalid GenSpec: n must be an integer, got 6.7",
+            ),
+            (["--spec", '{"kind": "two_cluster", "n": 6, "c": true}'], "invalid GenSpec: c must be an integer, got True"),
+            (
+                ["--spec", '{"kind": "random_uniform", "n": 6, "c": 5, "params": {"levels": 2.9}}'],
+                "invalid GenSpec param 'levels': levels must be an integer, got 2.9",
+            ),
+            (
+                ["--spec", '{"kind": "clustered", "n": 6, "c": 50, "params": {"clusters": false}}'],
+                "invalid GenSpec param 'clusters': clusters must be an integer, got False",
+            ),
         ],
     )
     def test_genpop_bad_param_exits_2(self, argv, message, tmp_path, capsys):
@@ -303,6 +316,17 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("lexibound: error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
+
+
+    def test_bad_epsilon_fails_before_the_trials(self, tmp_path, monkeypatch, capsys):
+        def no_trials(*args):
+            raise AssertionError("estimate_runtime ran before the epsilon check")
+
+        monkeypatch.setattr(cli.simulate, "estimate_runtime", no_trials)
+        (tmp_path / "pop.csv").write_text("0,1\n1,0\n1,1\n")
+        argv = ["simulate", str(tmp_path / "pop.csv"), "--check-bound", "--epsilon", "0", "--trials", "200000"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "lexibound: error: epsilon must be in (0, 1], got 0\n"
 
 
 class TestSweepRun:

@@ -1,10 +1,14 @@
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexibound import core
 from lexibound.core import (
     ErrorMatrix,
     KindMismatchError,
@@ -20,6 +24,7 @@ from lexibound.core import (
 from lexibound.popgen import gen_random_uniform
 
 from conftest import dmatrix, rmatrix
+from test_fuzz import FILES
 
 
 class TestErrorMatrix:
@@ -298,3 +303,110 @@ class TestCsv:
         write_matrix_csv(m, p1)
         write_matrix_csv(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: the losses bytes, kind and labels of
+    its matrix, or the message of its MatrixError."""
+    try:
+        m = read(path)
+    except MatrixError as exc:
+        return "error", str(exc)
+    return m.losses.shape, m.losses.tobytes(), m.kind, m.case_labels
+
+
+def _reference(path):
+    return core._read_matrix_reference(path, core._read_lines(path))
+
+
+def _read_both(data: bytes, sidecar=None):
+    """read_matrix_csv's and the reference's outcome on a file, and whether
+    the fast path took it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(data)
+        if sidecar is not None:
+            Path(tmp, "m.csv.json").write_text(json.dumps({"kind": sidecar}))
+        try:
+            fast = core._read_int_body(core._read_lines(path)) is not None
+        except MatrixError:
+            fast = False
+        return _outcome(read_matrix_csv, path), _outcome(_reference, path), fast
+
+
+# Plain integers, mixed with cells at the fast path's edges: signs, padding,
+# the 2**53 and int64 limits, digits that int() reads but numpy does not,
+# comment and quote characters.
+EDGE_CELLS = [
+    "+5", "-0", "00005", " 7 ", "\t5", "5\u3000", "\xa05", "５", "٣", "5#x", '"5"', "nan", "1_0", "1e3", "5.0",
+    "", "x", str(2**53), str(-(2**53)), str(2**53 + 1), str(-(2**53) - 1), str(2**63 - 1), str(-(2**63)), str(2**63),
+]
+INT_CELLS = st.sampled_from([str(i) for i in range(-9, 10)] * 3 + EDGE_CELLS)
+
+
+@st.composite
+def int_files(draw):
+    width = draw(st.integers(1, 4))
+    lines = [",".join(row) for row in draw(st.lists(st.lists(INT_CELLS, min_size=width, max_size=width), max_size=6))]
+    header = draw(st.sampled_from([None, "a,b", "case_0", "a,b,c,d", '"a,b",c', '"open']))
+    if header is not None:
+        lines.insert(0, header)
+    if lines and draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    breaks = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"]))
+    return (breaks.join(lines) + draw(st.sampled_from(["", breaks, breaks * 2]))).encode()
+
+
+class TestFastReader:
+    """read_matrix_csv's numpy path reads a subset of what the per-cell
+    reference reads, to the same matrix; everything else is the reference's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(FILES, int_files()), st.sampled_from([None, "discrete", "real"]))
+    def test_matches_reference(self, data, sidecar):
+        got, want, _ = _read_both(data, sidecar)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "data, sidecar, fast",
+        [
+            pytest.param(b"0,1\n\n1,0\n", None, False, id="blank-line-in-body"),
+            pytest.param(b"0,1\n \n1,0\n", None, False, id="whitespace-line-in-body"),
+            pytest.param(b"0,5#x\n1,0\n", None, False, id="comment-character"),
+            pytest.param("５,1\n1,0\n".encode(), None, False, id="full-width-digit"),
+            pytest.param(b"+5,1\n1,0\n", None, True, id="plus-sign"),
+            pytest.param(b"-0,1\n1,0\n", None, True, id="minus-zero"),
+            pytest.param(b"9007199254740992,1\n-9007199254740992,1\n", None, True, id="2**53"),
+            pytest.param(b"9007199254740993,1\n1,1\n", None, False, id="2**53+1"),
+            pytest.param(b"1,1\n1,-9007199254740993\n", None, False, id="-2**53-1"),
+            pytest.param(b"9223372036854775808,1\n1,1\n", None, False, id="2**63"),
+            pytest.param(b"-9223372036854775808,1\n1,1\n", None, False, id="int64-min"),
+            pytest.param(b'"5",1\n1,0\n', None, False, id="quoted-cell"),
+            pytest.param(b"0\n1\n2\n", None, True, id="one-column"),
+            pytest.param(b"a,b\r\n0,1\r\n1,0\r\n", None, True, id="crlf"),
+            pytest.param(b"0,1\x0c1,0\n", None, True, id="form-feed-line-break"),
+            pytest.param(b"a,b,c\n0,1\n1,0\n", None, False, id="header-wrong-width"),
+            pytest.param(b'a,"b\n0,1\n1,0\n', None, False, id="header-open-quote"),
+            pytest.param(b"a,b\n", None, False, id="header-only"),
+            pytest.param(b"", None, False, id="empty"),
+            pytest.param(b"0,1\n1,0\n", "real", True, id="sidecar-real"),
+            pytest.param(b"0.5,1\n1,0\n", "discrete", False, id="sidecar-discrete-on-float"),
+        ],
+    )
+    def test_named_cases(self, data, sidecar, fast):
+        got, want, took_fast_path = _read_both(data, sidecar)
+        assert got == want
+        assert took_fast_path == fast
+
+    def test_integer_file_never_enters_the_reference(self, tmp_path, monkeypatch):
+        def no_reference(*args):
+            raise AssertionError("the reference reader ran on a plain integer file")
+
+        monkeypatch.setattr(core, "_read_matrix_reference", no_reference)
+        m = gen_random_uniform(30, 12, 5, RngStream(1))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(m, path)
+        back = read_matrix_csv(path)
+        assert back.losses.tobytes() == m.losses.tobytes() and back.case_labels == tuple(f"case_{c}" for c in range(12))
+        path.write_text("0,1\n-2,+3\n\n")
+        assert read_matrix_csv(path).losses.tolist() == [[0, 1], [-2, 3]]

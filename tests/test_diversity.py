@@ -16,7 +16,7 @@ from lexibound.diversity import (
     pairwise_distance_matrix,
     similarity_bruteforce,
 )
-from lexibound import bounds
+from lexibound import bounds, diversity
 from lexibound.bounds import default_epsilon_grid, sweep
 from conftest import dmatrix, profile, random_rows, rmatrix
 
@@ -71,6 +71,73 @@ class TestPhenotypicDistance:
         for i in range(len(rows)):
             for j in range(len(rows)):
                 assert (d[i, j] == 0) == (rows[i] == rows[j])
+
+
+class TestOneHotDistances:
+    """The one-hot distance path equals the row loop it replaces."""
+
+    @staticmethod
+    def _route(monkeypatch):
+        calls = []
+        onehot = diversity._onehot_distances
+        monkeypatch.setattr(diversity, "_onehot_distances", lambda *a: calls.append(1) or onehot(*a))
+        return calls
+
+    @pytest.mark.parametrize(
+        "levels, n, onehot",
+        [
+            (1, 20, True),
+            (2, 40, True),
+            (16, 40, True),
+            (diversity._ONEHOT_MAX_LEVELS, 60, True),
+            (diversity._ONEHOT_MAX_LEVELS + 1, 60, False),
+            (3, diversity._ONEHOT_MIN_ROWS, True),
+            (3, diversity._ONEHOT_MIN_ROWS - 1, False),
+            (2, 1, False),
+        ],
+    )
+    def test_equals_row_loop(self, levels, n, onehot, monkeypatch):
+        calls = self._route(monkeypatch)
+        rng = np.random.default_rng(levels * 1000 + n)
+        for c in (1, 7, 150):
+            losses = rng.permutation(np.arange(n * c) % levels).reshape(n, c) * 3 - 5  # exactly `levels` values
+            m = dmatrix(losses)
+            d = pairwise_distance_matrix(m)
+            assert d.dtype == np.int32
+            assert np.array_equal(d, diversity._row_loop_distances(m.losses, 0.0))
+        assert bool(calls) == onehot
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(8, 30), st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_random_matrices(self, n, c, levels, seed):
+        m = dmatrix(np.random.default_rng(seed).integers(0, levels, size=(n, c)))
+        assert np.array_equal(pairwise_distance_matrix(m), diversity._row_loop_distances(m.losses, 0.0))
+
+    def test_real_losses_with_zero_delta(self, monkeypatch):
+        calls = self._route(monkeypatch)
+        values = np.array([0.5, 1.25, -3.0, 1e-300, 2.0**60])
+        m = rmatrix(np.random.default_rng(5).choice(values, size=(30, 40)))
+        assert np.array_equal(pairwise_distance_matrix(m, delta=0), diversity._row_loop_distances(m.losses, 0.0))
+        assert calls
+
+    def test_large_c_counts_exactly_in_float32(self):
+        # agreement counts near C = 2**21 need 21 significant bits: exact in
+        # float32 (24 bits), not in float16 (11); 2**24 columns would take
+        # gigabytes of temporaries
+        c = 2**21 - 1
+        codes = np.zeros((3, c), dtype=np.int8)
+        codes[1, :5] = 1
+        codes[2, ::2] = 2
+        d = diversity._onehot_distances(codes, 3)
+        assert d.tolist() == [[int((a != b).sum()) for b in codes] for a in codes]
+        assert d[1, 2] == 2**20 + 2
+
+    def test_float32_limit_keeps_row_loop(self, monkeypatch):
+        calls = self._route(monkeypatch)
+        monkeypatch.setattr(diversity, "_FLOAT32_EXACT", 10)
+        m = dmatrix(np.arange(200).reshape(20, 10) % 3)
+        assert np.array_equal(pairwise_distance_matrix(m), diversity._row_loop_distances(m.losses, 0.0))
+        assert not calls
 
 
 class TestFarThreshold:
