@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -451,8 +452,13 @@ def _read_int_body(lines: list[str]) -> tuple[np.ndarray, tuple[str, ...] | None
     if not body:
         return None
     try:
-        losses = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy releases that still carry the 1.23 deprecation of "parsing
+            # an integer via a float" read "0.5" as 0 and "5.0" as 5, warning
+            # only; as an error, such a cell sends the file to the reference.
+            warnings.simplefilter("error", DeprecationWarning)
+            losses = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
         return None
     if losses.shape[0] != len(body) or (case_labels is not None and len(case_labels) != losses.shape[1]):
         return None

@@ -54,7 +54,9 @@ _BRUTEFORCE_LIMIT = 20
 # does not: at 300-616 rows x 100-150 cases it took 0.55-0.71 of the row
 # loop's time at 32 levels, 0.78-0.95 at 48 and 1.03-1.19 at 64. On 5-150
 # cases with 3 levels it took 1.07-1.21 of the loop's time at 4 rows, np.unique
-# included, and 0.62-0.85 at 8 rows.
+# included, and 0.62-0.85 at 8 rows. The level cut-off is provisional: no
+# perfbench workload has more than 32 levels, so only these in-process
+# timings measure the row-loop side of it.
 _ONEHOT_MAX_LEVELS = 32
 _ONEHOT_MIN_ROWS = 8
 # Agreement counts up to C are exact integers in float32 while C < 2**24.
@@ -91,7 +93,15 @@ def pairwise_distance_matrix(matrix: ErrorMatrix, delta=None) -> np.ndarray:
     delta = _resolve_delta(matrix.kind, delta)
     losses = matrix.losses
     n, c = losses.shape
-    if delta == 0.0 and n >= _ONEHOT_MIN_ROWS and c < _FLOAT32_EXACT:
+    if (
+        delta == 0.0
+        and n >= _ONEHOT_MIN_ROWS
+        and c < _FLOAT32_EXACT
+        # one row's distinct values bound the level count from below: a first
+        # row with too many levels skips the sort of the whole matrix (a set,
+        # as np.unique without return_inverse imports numpy.ma, ~1.4 MB)
+        and len(set(losses[0].tolist())) <= _ONEHOT_MAX_LEVELS
+    ):
         values, codes = np.unique(losses, return_inverse=True)
         if len(values) <= _ONEHOT_MAX_LEVELS:
             return _onehot_distances(codes.reshape(n, c), len(values))

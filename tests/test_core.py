@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -397,6 +398,23 @@ class TestFastReader:
         got, want, took_fast_path = _read_both(data, sidecar)
         assert got == want
         assert took_fast_path == fast
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("deprecated_loadtxt", [False, True])
+    @pytest.mark.parametrize("text, value", [("0.5,1.25\n1,0\n", 0.5), ("5.0,1\n1,0\n", 5.0), ("1e3,1\n1,0\n", 1000.0)])
+    def test_float_cells_read_real_with_warnings_ignored(self, text, value, deprecated_loadtxt, tmp_path, monkeypatch):
+        if deprecated_loadtxt:
+            # numpy releases that still carry the 1.23 deprecation parse an
+            # int64 cell via float, truncating it, and only warn; so does this
+            def loadtxt(lines, dtype, **kwargs):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                return np.array([[int(float(cell)) for cell in line.split(",")] for line in lines], dtype=dtype)
+
+            monkeypatch.setattr(core.np, "loadtxt", loadtxt)
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        m = read_matrix_csv(path)
+        assert m.kind is LossKind.REAL and m.losses[0, 0] == value
 
     def test_integer_file_never_enters_the_reference(self, tmp_path, monkeypatch):
         def no_reference(*args):

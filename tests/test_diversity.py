@@ -105,7 +105,8 @@ class TestOneHotDistances:
             d = pairwise_distance_matrix(m)
             assert d.dtype == np.int32
             assert np.array_equal(d, diversity._row_loop_distances(m.losses, 0.0))
-        assert bool(calls) == onehot
+            assert bool(calls) == onehot
+            calls.clear()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(8, 30), st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1))
@@ -131,6 +132,14 @@ class TestOneHotDistances:
         d = diversity._onehot_distances(codes, 3)
         assert d.tolist() == [[int((a != b).sum()) for b in codes] for a in codes]
         assert d[1, 2] == 2**20 + 2
+
+    def test_many_levels_in_the_first_row_skip_the_full_sort(self, monkeypatch):
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(diversity.np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
+        m = rmatrix(np.random.default_rng(9).random((20, diversity._ONEHOT_MAX_LEVELS + 1)))
+        assert np.array_equal(pairwise_distance_matrix(m, delta=0), diversity._row_loop_distances(m.losses, 0.0))
+        assert not sorts
 
     def test_float32_limit_keeps_row_loop(self, monkeypatch):
         calls = self._route(monkeypatch)
