@@ -18,6 +18,7 @@ from .diversity import (
     DEFAULT_NODE_BUDGET,
     _resolve_delta,
     clique_number,
+    far_distance_threshold,
     graph_from_distances,
     pairwise_distance_matrix,
 )
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID = "0.05:0.60:0.05"  # start:stop:step, inclusive
-# Largest epsilon grid parse_epsilon_grid builds; each point costs a clique search.
+# Largest epsilon grid parse_epsilon_grid builds; each point may cost a clique search.
 _GRID_MAX_POINTS = 10_000
 
 @dataclass(frozen=True)
@@ -81,8 +82,9 @@ def sweep(
 ) -> list[BoundReport]:
     """One BoundReport per grid epsilon.
 
-    The pairwise distance table is computed once and shared across the grid;
-    thresholding it per epsilon equals independent graph construction.
+    k depends on eps only through t = ceil(eps * C). Each epsilon is checked
+    and mapped to t before the O(N^2 C) distance table is computed; each
+    distinct t then gets one graph and one clique search.
     """
     grid = tuple(exact_fraction(e) for e in (epsilons if epsilons is not None else default_epsilon_grid()))
     if not grid:
@@ -90,28 +92,30 @@ def sweep(
     n = profile.n_unique
     c = profile.n_cases
     delta = _resolve_delta(profile.unique.kind, delta)
-    distances = pairwise_distance_matrix(profile.unique, delta)
-    worst_case = float(n * c)
-    reports = []
-    # Edges only join as eps grows: a clique found at a smaller eps stays one.
-    lower, previous = 1, grid[0]
+    points = []
     for eps in grid:
-        graph = graph_from_distances(distances, c, eps)
         try:
-            term_pool = float(Fraction(4 * n) / eps)
+            points.append((eps, far_distance_threshold(eps, c), float(Fraction(4 * n) / eps)))
         except OverflowError:
             small = Decimal(eps.numerator) / eps.denominator
             raise ValueError(f"epsilon {small:g} is too small: 4N/eps overflows a float") from None
-        result = clique_number(graph, node_budget, lower_bound=lower if eps >= previous else 1)
-        lower, previous = result.alpha_lower, eps
-        k = result.k
-        term_cases = float(2 * k * c)
+    distances = pairwise_distance_matrix(profile.unique, delta)
+    # Edges only join as t grows, so the clique found at one t warm-starts the next.
+    results, lower = {}, 1
+    for threshold in sorted({t for _, t, _ in points}):
+        results[threshold] = clique_number(graph_from_distances(distances, threshold), node_budget, lower_bound=lower)
+        lower = results[threshold].alpha_lower
+    worst_case = float(n * c)
+    reports = []
+    for eps, threshold, term_pool in points:
+        result = results[threshold]
+        term_cases = float(2 * result.k * c)
         total = term_pool + term_cases
         reports.append(
             BoundReport(
                 epsilon=float(eps),
                 delta=delta,
-                k=k,
+                k=result.k,
                 exact_k=result.exact,
                 term_pool=term_pool,
                 term_cases=term_cases,

@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .core import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .diversity import DEFAULT_NODE_BUDGET, _resolve_delta
+from .diversity import DEFAULT_NODE_BUDGET, _resolve_delta, far_distance_threshold
 from .diversity import similarity_bruteforce  # noqa: F401  (a name the benchmark tracer wraps)
 
 EXIT_OK = 0
@@ -111,10 +112,23 @@ def _load_profile(path: str, delta) -> tuple[ErrorMatrix, DedupProfile, float]:
     return matrix, deduplicate(matrix) if discrete else identity_profile(matrix), delta
 
 
-def _epsilon_grid(args):
-    if getattr(args, "epsilon", None) is not None:
-        return (bounds.exact_fraction(args.epsilon),)
-    return bounds.parse_epsilon_grid(args.epsilon_grid)
+def _epsilon_grid(args) -> tuple[Fraction, ...]:
+    """The epsilons of --epsilon or --epsilon-grid. Every flag that
+    ``_add_grid_flags`` adds is checked here, before any work; a bad value is
+    an input error that names its flag."""
+    if args.budget < 1:
+        raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    if args.epsilon is None:
+        try:
+            return bounds.parse_epsilon_grid(args.epsilon_grid)
+        except ValueError as exc:
+            raise ValueError(f"--epsilon-grid: {exc}") from None
+    try:
+        epsilon = bounds.exact_fraction(args.epsilon)
+        far_distance_threshold(epsilon, 1)  # raises outside (0, 1]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--epsilon must be a number in (0, 1], got {args.epsilon!r}") from None
+    return (epsilon,)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +137,9 @@ def _epsilon_grid(args):
 
 
 def cmd_analyze(args) -> int:
+    grid = _epsilon_grid(args)
     matrix, profile, delta = _load_profile(args.matrix, args.delta)
-    reports = bounds.sweep(profile, _epsilon_grid(args), delta, args.budget)
+    reports = bounds.sweep(profile, grid, delta, args.budget)
     print(
         f"# {args.matrix}: kind={matrix.kind.value} n_original={matrix.n_individuals} "
         f"n_unique={profile.n_unique} cases={matrix.n_cases}",
@@ -196,6 +211,7 @@ def cmd_sweep_run(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
+    grid = _epsilon_grid(args)
     matrix = read_matrix_csv(args.matrix)
     if matrix.kind is LossKind.REAL:
         if not args.binarize_mad:
@@ -205,8 +221,8 @@ def cmd_simulate(args) -> int:
             )
         matrix = engine.static_epsilon_binarize(matrix, engine.mad_thresholds(matrix))
     profile = deduplicate(matrix)
-    # The sweep validates the epsilon grid, so a bad --epsilon fails before the trials run.
-    reports = bounds.sweep(profile, _epsilon_grid(args), 0.0, args.budget) if args.check_bound else None
+    # The sweep runs first, so an epsilon that overflows 4N/eps fails before the trials.
+    reports = bounds.sweep(profile, grid, 0.0, args.budget) if args.check_bound else None
     stats = simulate.estimate_runtime(profile, args.trials, RngStream(seed))
     payload = {
         "matrix": args.matrix,

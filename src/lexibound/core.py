@@ -472,7 +472,11 @@ def _read_int_body(lines: list[str]) -> tuple[np.ndarray, tuple[str, ...] | None
 def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:
     """The per-cell reader: every file the fast path declines, and the
     reference it is tested against."""
-    rows = list(csv.reader(lines))
+    reader = csv.reader(lines)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # such as a cell beyond the csv module's field size limit
+        raise MatrixError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise MatrixError(f"{path}: empty file")
 

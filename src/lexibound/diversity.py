@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -61,11 +60,6 @@ _ONEHOT_MAX_LEVELS = 32
 _ONEHOT_MIN_ROWS = 8
 # Agreement counts up to C are exact integers in float32 while C < 2**24.
 _FLOAT32_EXACT = 2**24
-
-
-def _check_epsilon(epsilon: Fraction) -> None:
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
 
 
 def _resolve_delta(kind: LossKind, delta) -> float:
@@ -121,15 +115,14 @@ def _onehot_distances(codes: np.ndarray, n_levels: int) -> np.ndarray:
 
 
 def _row_loop_distances(losses: np.ndarray, delta: float) -> np.ndarray:
+    """Each row against the rows after it; the transpose fills the lower half."""
     n = losses.shape[0]
     out = np.zeros((n, n), dtype=np.int32)
-    if delta == 0.0:
-        for i in range(n):
-            out[i] = np.count_nonzero(losses != losses[i], axis=1)
-    else:
-        for i in range(n):
-            out[i] = np.count_nonzero(np.abs(losses - losses[i]) > delta, axis=1)
-    return out
+    for i in range(n - 1):
+        rest = losses[i + 1 :]
+        far = rest != losses[i] if delta == 0.0 else np.abs(rest - losses[i]) > delta
+        out[i, i + 1 :] = np.count_nonzero(far, axis=1)
+    return out + out.T
 
 
 def far_distance_threshold(epsilon, n_cases: int) -> int:
@@ -139,7 +132,8 @@ def far_distance_threshold(epsilon, n_cases: int) -> int:
     yields exactly 1 (not 2, as naive float rounding of 0.05 * 20 would give).
     """
     eps = exact_fraction(epsilon)
-    _check_epsilon(eps)
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     return math.ceil(eps * n_cases)
 
 
@@ -182,10 +176,11 @@ class SimilarityResult:
         return self.alpha_upper + 1
 
 
-def graph_from_distances(distances: np.ndarray, n_cases: int, epsilon) -> SimilarityGraph:
-    """Threshold a distance table into the similarity graph at epsilon; the
-    sweep computes the O(N^2 C) table once and thresholds it per epsilon."""
-    adjacency = distances < far_distance_threshold(epsilon, n_cases)
+def graph_from_distances(distances: np.ndarray, threshold: int) -> SimilarityGraph:
+    """The similarity graph joining the pairs at distance below ``threshold``,
+    the ``far_distance_threshold`` of an epsilon; every epsilon that maps to
+    the same threshold has this graph."""
+    adjacency = distances < threshold
     np.fill_diagonal(adjacency, False)
     return SimilarityGraph(n_vertices=distances.shape[0], adjacency=adjacency)
 
@@ -319,7 +314,7 @@ def clique_number(
     with a greedy coloring bound. The search starts from the larger of a
     greedy clique and ``lower_bound``, the size of a clique known to be in
     the graph (the sweep passes the one found at the previous, smaller
-    epsilon). A larger start only prunes, so it never widens the bracket or
+    threshold). A larger start only prunes, so it never widens the bracket or
     adds nodes. When the budget runs out the result brackets the true value:
     the best clique found below, the root coloring bound above.
     """

@@ -65,7 +65,8 @@ class TestDefinitionEquivalence:
 
     def test_wrong_warm_started_search_fails(self, two_triangles, monkeypatch):
         # the check must run the sweep's warm-started searches, not cold ones:
-        # alpha is 1 up to eps 0.2 and 3 from 0.25, so 0.3 is the first warm call
+        # alpha is 1 up to eps 0.2 and 3 from 0.25; 0.3 shares t = 3 with 0.25,
+        # so t = 4 (eps 0.35) is the first warm call
         def wrong_when_warm(graph, node_budget, *, lower_bound):
             result = clique_number(graph, node_budget, lower_bound=lower_bound)
             if lower_bound > 1:
@@ -75,7 +76,7 @@ class TestDefinitionEquivalence:
         monkeypatch.setattr(bounds, "clique_number", wrong_when_warm)
         ok, detail = checks.definition_equivalence([("two-triangles", two_triangles)])
         assert not ok
-        assert detail == "set-form k=4 vs clique-form k=5 (exact: True) at eps=3/10 on two-triangles"
+        assert detail == "set-form k=4 vs clique-form k=5 (exact: True) at eps=7/20 on two-triangles"
 
 
 class TestBoundMonotonicity:

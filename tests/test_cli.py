@@ -131,6 +131,13 @@ class TestAnalyze:
         assert run(["analyze", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_oversized_cell_exits_2_naming_line(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("1," + "0" * 140_000 + "\n")
+        assert run(["analyze", str(big)]) == 2
+        err = capsys.readouterr().err
+        assert f"{big}: line 1: field larger than field limit" in err and "Traceback" not in err
+
     def test_headerless_first_row_typo_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,oops\n1,0\n2,2\n")
@@ -318,6 +325,28 @@ class TestInputErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--epsilon", "nan"], "--epsilon must be a number in (0, 1], got 'nan'"),
+            (["--epsilon", "inf"], "--epsilon must be a number in (0, 1], got 'inf'"),
+            (["--epsilon", "1e999"], "--epsilon must be a number in (0, 1], got '1e999'"),
+            (["--epsilon", "1/0"], "--epsilon must be a number in (0, 1], got '1/0'"),
+            (
+                ["--epsilon-grid", "0.1:nan:0.1"],
+                "--epsilon-grid: invalid grid '0.1:nan:0.1': Invalid literal for Fraction: 'nan'",
+            ),
+            (["--budget", "0"], "--budget must be >= 1, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "sweep-run", "simulate"])
+    def test_bad_grid_flag_exits_2_naming_it(self, command, flag, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen_0.csv").write_text("0,1\n1,0\n1,1\n")
+        target = "." if command == "sweep-run" else "gen_0.csv"
+        assert run([command, target, *flag]) == 2
+        assert capsys.readouterr().err == f"lexibound: error: {message}\n"
+
     def test_bad_epsilon_fails_before_the_trials(self, tmp_path, monkeypatch, capsys):
         def no_trials(*args):
             raise AssertionError("estimate_runtime ran before the epsilon check")
@@ -326,7 +355,7 @@ class TestInputErrors:
         (tmp_path / "pop.csv").write_text("0,1\n1,0\n1,1\n")
         argv = ["simulate", str(tmp_path / "pop.csv"), "--check-bound", "--epsilon", "0", "--trials", "200000"]
         assert run(argv) == 2
-        assert capsys.readouterr().err == "lexibound: error: epsilon must be in (0, 1], got 0\n"
+        assert capsys.readouterr().err == "lexibound: error: --epsilon must be a number in (0, 1], got '0'\n"
 
 
 class TestSweepRun:
@@ -445,6 +474,11 @@ class TestSimulate:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_stdout_bytes(self, level, capsys):
+        assert run(["verify", "--level", level, "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"verify-{level}.txt").read_text()
+
     def test_fast_passes(self, capsys):
         assert run(["verify", "--level", "fast", "--seed", "3"]) == 0
         out = capsys.readouterr().out

@@ -241,6 +241,12 @@ class TestCsv:
         path.write_text("9007199254740992,1\n-9007199254740992,1\n1,1\n")
         assert deduplicate(read_matrix_csv(path)).n_unique == 3
 
+    def test_cell_beyond_the_csv_field_limit_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n1," + "1" * 140_000 + "\n")
+        with pytest.raises(MatrixError, match=r"m\.csv: line 2: field larger than field limit"):
+            read_matrix_csv(path)
+
     def test_non_utf8_names_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"\xff0,1\n1,0\n")

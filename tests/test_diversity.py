@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexibound.core import RngStream, deduplicate, identity_profile
@@ -254,7 +254,7 @@ class TestCliqueNumber:
 
 
 def _similarity_graph(prof, eps) -> SimilarityGraph:
-    return graph_from_distances(pairwise_distance_matrix(prof.unique), prof.n_cases, eps)
+    return graph_from_distances(pairwise_distance_matrix(prof.unique), far_distance_threshold(eps, prof.n_cases))
 
 
 def _graph(adjacency) -> SimilarityGraph:
@@ -328,9 +328,28 @@ class TestCliqueSearchProperties:
                 res = clique_number(_similarity_graph(prof, eps))
                 assert (report.k, report.exact_k) == (res.k, res.exact)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 2), min_size=6, max_size=6), min_size=1, max_size=14),
+        st.lists(st.sampled_from(default_epsilon_grid()), min_size=1, max_size=12),
+        st.integers(1, 3),
+    )
+    @example(  # searched per epsilon, 11/20 is exact after 1/2 but inexact after 3/10's smaller clique
+        rows=[[0, 1, 1, 2, 0, 1], [1, 1, 0, 2, 0, 0], [1, 0, 0, 2, 1, 0], [1, 2, 1, 1, 0, 1], [1, 0, 0, 2, 0, 2]],
+        grid=[Fraction(1, 2), Fraction(11, 20), Fraction(3, 10), Fraction(11, 20)],
+        budget=2,
+    )
+    def test_grid_points_sharing_a_threshold_agree(self, rows, grid, budget):
+        # even when the budget leaves k inexact: each threshold is searched once
+        prof = profile(rows)
+        seen = {}
+        for report, eps in zip(bounds.sweep(prof, grid, node_budget=budget), grid):
+            first = seen.setdefault(far_distance_threshold(eps, prof.n_cases), (report.k, report.exact_k))
+            assert (report.k, report.exact_k) == first
+
     def test_sweep_warm_starts_each_call(self, monkeypatch):
-        # one call per epsilon, graph first, lower bound from the previous
-        # call only while epsilon does not fall
+        # one call per distinct threshold t = ceil(eps * C), in ascending t,
+        # each warm-started from the clique the call before it found
         calls = []
 
         def recording(graph, node_budget, *, lower_bound):
@@ -339,10 +358,16 @@ class TestCliqueSearchProperties:
             return result
 
         monkeypatch.setattr(bounds, "clique_number", recording)
-        grid = [Fraction(1, 10), Fraction(3, 10), Fraction(6, 10), Fraction(2, 10)]
-        bounds.sweep(profile(random_rows(81, 12, 8, 2)), grid)
-        assert len(calls) == len(grid) and all(isinstance(g, SimilarityGraph) for g, _, _ in calls)
-        assert [lb for _, lb, _ in calls] == [1, calls[0][2], calls[1][2], 1]
+        prof = profile(random_rows(81, 12, 8, 2))
+        # C = 8: t is 1, 3, 5, 2, 5 and 1, so 0.55 shares t with 0.6 and 0.05 with 0.1
+        grid = [Fraction(1, 10), Fraction(3, 10), Fraction(6, 10), Fraction(2, 10), Fraction(11, 20), Fraction(1, 20)]
+        bounds.sweep(prof, grid)
+        distances = pairwise_distance_matrix(prof.unique)
+        expected = [graph_from_distances(distances, t).adjacency for t in (1, 2, 3, 5)]
+        assert len({adjacency.tobytes() for adjacency in expected}) == len(calls) == len(expected)
+        assert all(np.array_equal(g.adjacency, adjacency) for (g, _, _), adjacency in zip(calls, expected))
+        assert [lb for _, lb, _ in calls] == [1] + [alpha for _, _, alpha in calls[:-1]]
+        assert max(lb for _, lb, _ in calls) > 1
 
 
 class TestEpsilonClusterSimilarity:
