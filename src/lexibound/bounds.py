@@ -9,6 +9,7 @@ error across the sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -62,15 +63,22 @@ def parse_epsilon_grid(spec: str) -> tuple[Fraction, ...]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    try:
-        start, stop, step = (Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid grid {spec!r}: {exc}") from exc
+    fields = []
+    for part in parts:
+        try:
+            fields.append(Fraction(part))
+        except (ValueError, ZeroDivisionError) as exc:
+            problem = "divides by zero" if isinstance(exc, ZeroDivisionError) else "is not a number"
+            raise ValueError(f"invalid grid {spec!r}: {part!r} {problem}") from exc
+    start, stop, step = fields
     if step <= 0 or start <= 0 or stop < start or stop > 1:
         raise ValueError(f"grid {spec!r} must satisfy 0 < start <= stop <= 1, step > 0")
     count = (stop - start) // step + 1
     if count > _GRID_MAX_POINTS:
-        raise ValueError(f"grid {spec!r} has {count} points; at most {_GRID_MAX_POINTS} are allowed")
+        log = math.log10(count)  # not Decimal(count): seconds for a 10**6-digit count
+        mantissa, shift = f"{10 ** (log % 1):.1e}".split("e")
+        shown = count if count < 10**20 else f"{mantissa}e+{math.floor(log) + int(shift)}"
+        raise ValueError(f"grid {spec!r} has {shown} points; at most {_GRID_MAX_POINTS} are allowed")
     return tuple(start + i * step for i in range(count))
 
 

@@ -62,6 +62,17 @@ class TestGrid:
             parse_epsilon_grid("1e-7:1:1e-7")
         assert len(parse_epsilon_grid("1e-4:1:1e-4")) == 10_000
 
+    def test_parse_prints_counts_beyond_20_digits_short(self):
+        with pytest.raises(ValueError, match="has 40000000000000000001 points"):
+            parse_epsilon_grid("0.1:0.5:1e-20")
+        with pytest.raises(ValueError, match=r"has 4\.0e\+20 points"):
+            parse_epsilon_grid("0.1:0.5:1e-21")
+        # beyond float range, and a 10**5-digit count that a decimal conversion would spend 0.2 s on
+        with pytest.raises(ValueError, match=r"has 4\.0e\+399 points"):
+            parse_epsilon_grid("0.1:0.5:1e-400")
+        with pytest.raises(ValueError, match=r"has 4\.0e\+99999 points"):
+            parse_epsilon_grid("0.1:0.5:1e-100000")
+
     def test_parse_rejects_malformed(self):
         for bad in ("0.1:0.5", "a:b:c", "0:0.5:0.1", "0.5:0.1:0.1", "0.1:1.5:0.1", "0.1:0.5:0"):
             with pytest.raises(ValueError):

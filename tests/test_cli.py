@@ -172,6 +172,13 @@ class TestAnalyze:
         assert run(["analyze", str(matrix_path), "--epsilon-grid", "1e-7:1:1e-7"]) == 2
         assert "10000000 points" in capsys.readouterr().err
 
+    def test_astronomical_grid_count_stays_short(self, tmp_path, capsys):
+        matrix_path = tmp_path / "m.csv"
+        matrix_path.write_text("0,1\n1,0\n")
+        assert run(["analyze", str(matrix_path), "--epsilon-grid", "0.1:0.5:1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert "has 4.0e+299 points" in err and len(err) < 200
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.csv")]) == 2
 
@@ -334,9 +341,10 @@ class TestInputErrors:
             (["--epsilon", "1/0"], "--epsilon must be a number in (0, 1], got '1/0'"),
             (
                 ["--epsilon-grid", "0.1:nan:0.1"],
-                "--epsilon-grid: invalid grid '0.1:nan:0.1': Invalid literal for Fraction: 'nan'",
+                "--epsilon-grid: invalid grid '0.1:nan:0.1': 'nan' is not a number",
             ),
             (["--budget", "0"], "--budget must be >= 1, got 0"),
+            (["--epsilon-grid", "0.1:1/0:0.1"], "--epsilon-grid: invalid grid '0.1:1/0:0.1': '1/0' divides by zero"),
         ],
     )
     @pytest.mark.parametrize("command", ["analyze", "sweep-run", "simulate"])

@@ -196,6 +196,50 @@ class TestRunTrials:
             run_trials(identity_profile(rmatrix([[0.5], [1.5]])), 1, RngStream(0))
 
 
+def levels_profile(n_levels, n_rows, n_cases, seed):
+    """A profile with exactly ``n_levels`` distinct losses. The first rows
+    hold the levels between 0 and the top loss, each once; the other cells
+    are 0 or the top loss at random, so that small pools often tie at the
+    top on the drawn case while rows outside them read lower."""
+    losses = np.random.default_rng(seed).choice(np.array([0, n_levels - 1]), size=(n_rows, n_cases))
+    losses.flat[: n_levels - 2] = np.arange(1, n_levels - 1)
+    prof = deduplicate(dmatrix(losses))
+    assert len(np.unique(prof.unique.losses)) == n_levels
+    return prof
+
+
+class TestRankCodes:
+    """run_trials filters pools on the rank codes of ``_narrow_losses``."""
+
+    def test_codes_keep_order_and_equality(self):
+        top = 2.0**53 - 1
+        losses = np.array([[-top, -3.0, -0.0, 0.0, 2.0], [5.0, top, -3.0, 7.0, -1.0], [0.0, -1.0, top, -top, 2.0]])
+        codes = engine._narrow_losses(losses)
+        assert codes.shape == losses.shape and codes.dtype == np.uint8
+        assert codes.max() == len(np.unique(losses)) - 1 < np.iinfo(codes.dtype).max
+        a, r = losses.ravel(), codes.ravel().astype(np.int64)
+        assert ((a[:, None] < a[None, :]) == (r[:, None] < r[None, :])).all()
+        assert ((a[:, None] == a[None, :]) == (r[:, None] == r[None, :])).all()
+        # run_trials passes the transposed (cases x rows) view
+        assert (engine._narrow_losses(losses.T) == codes.T).all()
+
+    @pytest.mark.parametrize(
+        "n_levels, dtype, shape, trials",
+        [
+            (254, np.uint8, (40, 24), 200),
+            (255, np.uint8, (40, 24), 200),
+            (256, np.uint16, (40, 24), 200),
+            (65534, np.uint16, (256, 512), 20),
+            (65535, np.uint16, (256, 512), 20),
+            (65536, np.uint32, (256, 512), 20),
+        ],
+    )
+    def test_traces_where_the_code_type_widens(self, n_levels, dtype, shape, trials):
+        prof = levels_profile(n_levels, *shape, seed=n_levels)
+        assert engine._narrow_losses(prof.unique.losses).dtype == dtype
+        assert runner_traces(prof, trials, RngStream(n_levels)) == scalar_traces(prof, trials, RngStream(n_levels))
+
+
 class TestBinarize:
     def test_definition_example(self):
         m = rmatrix([[1.0], [1.05], [2.0]])
