@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .core import DedupProfile, exact_fraction
+from .core import DedupProfile, ExponentError, exact_fraction
 from .diversity import (
     DEFAULT_NODE_BUDGET,
     _resolve_delta,
@@ -66,7 +66,9 @@ def parse_epsilon_grid(spec: str) -> tuple[Fraction, ...]:
     fields = []
     for part in parts:
         try:
-            fields.append(Fraction(part))
+            fields.append(exact_fraction(part))
+        except ExponentError as exc:
+            raise ValueError(f"invalid grid {spec!r}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             problem = "divides by zero" if isinstance(exc, ZeroDivisionError) else "is not a number"
             raise ValueError(f"invalid grid {spec!r}: {part!r} {problem}") from exc

@@ -29,6 +29,7 @@ from . import bounds, checks, engine, popgen, simulate
 from .core import (
     DedupProfile,
     ErrorMatrix,
+    ExponentError,
     LossKind,
     MatrixError,
     RngStream,
@@ -126,6 +127,8 @@ def _epsilon_grid(args) -> tuple[Fraction, ...]:
     try:
         epsilon = bounds.exact_fraction(args.epsilon)
         far_distance_threshold(epsilon, 1)  # raises outside (0, 1]
+    except ExponentError as exc:
+        raise ValueError(f"--epsilon: {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--epsilon must be a number in (0, 1], got {args.epsilon!r}") from None
     return (epsilon,)
@@ -472,7 +475,3 @@ def main(argv=None) -> int:
         # Unreadable or unwritable files, malformed matrices, flags and specs.
         _fail(str(exc))
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

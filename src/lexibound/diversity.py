@@ -187,7 +187,7 @@ def graph_from_distances(distances: np.ndarray, threshold: int) -> SimilarityGra
 
 # ---------------------------------------------------------------------------
 # Exact maximum clique: branch and bound on bitsets with greedy-coloring
-# pruning and degeneracy preordering, started from a known clique.
+# pruning from the highest-degree vertex down, started from a known clique.
 # ---------------------------------------------------------------------------
 
 
@@ -205,44 +205,14 @@ def _union_of_cliques_alpha(adjacency: np.ndarray) -> int | None:
     return int(np.bincount(label).max())
 
 
-def _greedy_clique(adjacency: np.ndarray) -> int:
+def _greedy_clique(adjacency: np.ndarray, degree: np.ndarray) -> int:
     """Size of a clique grown by repeatedly taking the highest-degree candidate."""
-    degree = adjacency.sum(axis=1)
     candidates = np.ones(adjacency.shape[0], dtype=bool)
     size = 0
     while candidates.any():
         candidates &= adjacency[np.argmax(np.where(candidates, degree, -1))]
         size += 1
     return size
-
-
-def _degeneracy_order(adjacency: np.ndarray) -> list[int]:
-    """Vertex order by repeatedly removing a minimum-degree vertex (bucket queue);
-    neighbours are visited in ascending index, which fixes what ``pop`` returns."""
-    neighbours = [np.flatnonzero(row).tolist() for row in adjacency]
-    degree = [len(nbrs) for nbrs in neighbours]
-    n = len(degree)
-    max_deg = max(degree, default=0)
-    buckets: list[set[int]] = [set() for _ in range(max_deg + 1)]
-    for v in range(n):
-        buckets[degree[v]].add(v)
-    removed = [False] * n
-    order = []
-    d = 0
-    for _ in range(n):
-        while d <= max_deg and not buckets[d]:
-            d += 1
-        v = buckets[d].pop()
-        removed[v] = True
-        order.append(v)
-        for u in neighbours[v]:
-            if not removed[u]:
-                buckets[degree[u]].discard(u)
-                degree[u] -= 1
-                buckets[degree[u]].add(u)
-                if degree[u] < d:
-                    d = degree[u]
-    return order
 
 
 def _bitsets(adjacency: np.ndarray) -> list[int]:
@@ -310,13 +280,14 @@ def clique_number(
     """Exact clique number by branch and bound, or a sound bracket on budget.
 
     A disjoint union of cliques is answered directly, with no search.
-    Otherwise vertices are preordered by degeneracy and each node is pruned
-    with a greedy coloring bound. The search starts from the larger of a
-    greedy clique and ``lower_bound``, the size of a clique known to be in
-    the graph (the sweep passes the one found at the previous, smaller
-    threshold). A larger start only prunes, so it never widens the bracket or
-    adds nodes. When the budget runs out the result brackets the true value:
-    the best clique found below, the root coloring bound above.
+    Otherwise vertices are preordered by degree, highest first (ties to the
+    lower index), and each node is pruned with a greedy coloring bound. The
+    search starts from the larger of a greedy clique and ``lower_bound``, the
+    size of a clique known to be in the graph (the sweep passes the one found
+    at the previous, smaller threshold). A larger start only prunes, so it
+    never widens the bracket or adds nodes. When the budget runs out the
+    result brackets the true value: the best clique found below, the root
+    coloring bound above.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
@@ -328,11 +299,12 @@ def clique_number(
     if alpha is not None:
         lower = upper = alpha
     else:
-        order = _degeneracy_order(graph.adjacency)
+        degree = graph.adjacency.sum(axis=1)
+        order = np.argsort(-degree, kind="stable")
         adj = _bitsets(graph.adjacency[np.ix_(order, order)])
         root_order, root_colors = _color_sort((1 << n) - 1, adj)
         upper = max(root_colors)
-        lower = max(lower_bound, _greedy_clique(graph.adjacency))
+        lower = max(lower_bound, _greedy_clique(graph.adjacency, degree))
         if lower < upper:
             lower, nodes, exhausted = _search(adj, root_order, root_colors, lower, node_budget)
         if not exhausted:

@@ -197,7 +197,7 @@ class TestBrokenPipe:
             os.close(read_end)
             try:
                 done = subprocess.run(
-                    [sys.executable, "-m", "lexibound.cli", *argv],
+                    [sys.executable, "-m", "lexibound", *argv],
                     stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
                 )
             finally:
@@ -365,6 +365,34 @@ class TestInputErrors:
         assert run(argv) == 2
         assert capsys.readouterr().err == "lexibound: error: --epsilon must be a number in (0, 1], got '0'\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["analyze", "pop.csv", "--epsilon", "1e-10000000"],
+                "--epsilon: '1e-10000000' has a decimal exponent beyond ±100000",
+            ),
+            (
+                ["simulate", "pop.csv", "--check-bound", "--epsilon", "1e-3000000", "--trials", "10"],
+                "--epsilon: '1e-3000000' has a decimal exponent beyond ±100000",
+            ),
+            (
+                ["analyze", "pop.csv", "--epsilon-grid", "0.1:0.5:1e-10000000"],
+                "--epsilon-grid: invalid grid '0.1:0.5:1e-10000000': '1e-10000000' has a decimal exponent beyond ±100000",
+            ),
+            (["analyze", "pop.csv", "--epsilon", "1E+1_000_000"], "--epsilon: '1E+1_000_000' has a decimal"),
+        ],
+    )
+    def test_huge_exponent_exits_2_at_once(self, argv, message, tmp_path):
+        # in a subprocess with a timeout: expanding 10**e would hang the run, not fail it
+        (tmp_path / "pop.csv").write_text("0,1\n1,0\n1,1\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "lexibound", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"lexibound: error: {message}") and done.stderr.count("\n") == 1
+
 
 class TestSweepRun:
     def _write_generations(self, tmp_path, matrices):
@@ -507,3 +535,13 @@ class TestVerify:
         assert run(["verify", "--level", level, "--seed", "3"]) == 0
         statuses = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()]
         assert len(statuses) == n_checks and all(s.endswith(": PASS") for s in statuses)
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop(cli.SEED_ENV, None)  # the golden file is seed 0, the default
+        done = subprocess.run(
+            [sys.executable, "-m", "lexibound", "verify", "--level", "fast"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (GOLDEN / "verify-fast.txt").read_text()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lexibound import core
 from lexibound.core import (
     ErrorMatrix,
+    ExponentError,
     KindMismatchError,
     LossKind,
     MatrixError,
@@ -172,6 +173,13 @@ class TestExactFraction:
         assert exact_fraction("0.6") == Fraction(3, 5)
         assert exact_fraction(1) == Fraction(1)
         assert exact_fraction(Fraction(7, 3)) == Fraction(7, 3)
+
+    def test_exponent_cut_off(self):
+        assert exact_fraction("1e-100000") == Fraction(1, 10**100000)
+        assert exact_fraction("25E-0000000000000000002") == Fraction(1, 4)
+        for huge in ("1e-100001", "1e+100001", "1E1_000_000", "0.5e-99999999999 "):
+            with pytest.raises(ExponentError, match="decimal exponent beyond"):
+                exact_fraction(huge)
 
 
 class TestCsv:

@@ -18,6 +18,7 @@ from lexibound.diversity import (
 )
 from lexibound import bounds, diversity
 from lexibound.bounds import default_epsilon_grid, sweep
+from lexibound.popgen import gen_clustered
 from conftest import dmatrix, profile, random_rows, rmatrix
 
 
@@ -246,6 +247,14 @@ class TestCliqueNumber:
             assert res.alpha_lower <= truth <= res.alpha_upper
             if res.exact:
                 assert res.alpha_lower == res.alpha_upper == truth
+
+    def test_degree_order_solves_clustered_population_in_budget(self):
+        # 4 clusters of 150 with many whole-cluster neighbours: starting from
+        # the highest-degree vertices proves alpha 134 in 134 nodes, where a
+        # degeneracy order expanded 5,462
+        prof = deduplicate(gen_clustered(600, 240, 4, 0.05, RngStream(1)))
+        res = clique_number(_similarity_graph(prof, "0.1"), node_budget=1000)
+        assert res.exact and res.alpha_lower == 134
 
     def test_rejects_bad_budget(self):
         g = SimilarityGraph(2, np.zeros((2, 2), bool))
