@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bounds, simulate
-from .diversity import similarity_bruteforce
+from .diversity import far_distance_threshold, similarity_bruteforce
 
 
 def oracle_equivalence(fixtures, trials: int, tolerance: float) -> tuple[bool, str]:
@@ -35,12 +35,17 @@ def oracle_equivalence(fixtures, trials: int, tolerance: float) -> tuple[bool, s
 def definition_equivalence(fixtures) -> tuple[bool, str]:
     """The clique form of ``k`` that ``bounds.sweep`` finds, exactly and
     warm-started, equals its set form at every default grid epsilon.
-    Fixtures are ``(name, profile)``."""
+    Fixtures are ``(name, profile)``. The set form depends on epsilon only
+    through ``far_distance_threshold``, so it is computed once per threshold."""
     checked = 0
     grid = bounds.default_epsilon_grid()
     for name, profile in fixtures:
+        set_form: dict[int, int] = {}
         for eps, report in zip(grid, bounds.sweep(profile, grid)):
-            direct = similarity_bruteforce(profile, eps)
+            threshold = far_distance_threshold(eps, profile.n_cases)
+            if threshold not in set_form:
+                set_form[threshold] = similarity_bruteforce(profile, eps)
+            direct = set_form[threshold]
             if report.k != direct or not report.exact_k:
                 detail = f"set-form k={direct} vs clique-form k={report.k} (exact: {report.exact_k})"
                 return False, f"{detail} at eps={eps} on {name}"

@@ -11,6 +11,9 @@ case) pair, including the iteration that reduces the pool to one.
 each bit-identical to :func:`lexicase_select` on its own substream; the
 scalar function stays the reference it is checked against. It filters on
 loss ranks, masking a pool's non-members by OR-ing in an all-ones value.
+While a block's trials share few distinct pools, it filters each distinct
+(pool, case) pair once and hands the result to every trial that drew it;
+either way each trial's pool is the same, so this never changes a result.
 
 Also houses the static-epsilon binarization variant.
 """
@@ -37,8 +40,10 @@ __all__ = [
 # run_trials works in blocks of at most this many trials and trial x (unique row
 # + case) cells; the cells bound its working set (int32 per case, 1-8 byte codes
 # and masks per row). 3,000 trials on 400 unique rows x 100 cases (2 vCPU, best
-# of 8): 26-29 ms at 2^19 cells, 30-33 at 2^18, 45-51 at 2^17, none faster above.
-_BLOCK_TRIALS = 2048
+# of 10): 24 ms at 2^19 cells, 30 at 2^18, 45 at 2^17, 24 at 2^20. verify's 7
+# oracle profiles x 20,000 trials (best of 30): 48 ms at 2,048 trials, 39 at
+# 4,096, 39 at 8,192; its peak RSS grows by about 0.4 MB at 4,096, 1.5 at 8,192.
+_BLOCK_TRIALS = 4096
 _BLOCK_CELLS = 1 << 19
 
 
@@ -177,8 +182,11 @@ def _select_block(by_case: np.ndarray, states: np.ndarray):
     (see ``_narrow_losses``). ``states`` holds the trials' stream states and is
     advanced past every draw made. Working arrays hold only the trials
     still running: their rows in the block, states, undrawn cases
-    (swap-removed as in lexicase_select) and masks of the rows filtered out
-    of their pools.
+    (swap-removed as in lexicase_select) and pool ids. A pool id is a row of
+    ``masks``, which marks the rows filtered out of that pool. While the
+    (pool id, case) pairs are no more than the live trials, each distinct
+    pair is filtered once and its trials share the result; after that,
+    ``pid`` is None and ``masks`` holds one row per live trial.
     """
     n_cases, n_unique = by_case.shape
     count = len(states)
@@ -193,7 +201,8 @@ def _select_block(by_case: np.ndarray, states: np.ndarray):
     rows = np.arange(live.size)
     live_states = states[live]
     remaining = np.tile(np.arange(n_cases, dtype=np.int32), (live.size, 1))
-    out = np.zeros((live.size, n_unique), dtype=by_case.dtype)
+    masks = np.zeros((1, n_unique), dtype=by_case.dtype)
+    pid = np.zeros(live.size, dtype=np.intp)
     size = np.full(live.size, n_unique, dtype=np.int32)
     t = 0
     while live.size:
@@ -201,29 +210,54 @@ def _select_block(by_case: np.ndarray, states: np.ndarray):
         j = randbelow_array(live_states, left)
         case = remaining[rows, j]
         remaining[rows, j] = remaining[:, left - 1]
-        values = by_case[case]
-        values |= out  # a non-member reads all-ones, above every code
-        beaten = (values > values.min(axis=1)[:, None]).view(np.uint8)
         evaluations[live] += size
-        size = np.subtract(n_unique, np.add.reduce(beaten, axis=1, dtype=np.int32), dtype=np.int32)
-        out = np.negative(beaten, dtype=by_case.dtype)
+        if pid is not None and len(masks) * n_cases <= live.size:
+            pair_pid, pair_case, pid = _distinct_pairs(pid, case, n_cases)
+            masks, pair_size = _elite_filter(by_case, masks[pair_pid], pair_case)
+            size = pair_size[pid]
+        else:
+            masks, size = _elite_filter(by_case, masks if pid is None else masks[pid], case)
+            pid = None
         case_order[live, t] = case
         pool_sizes[live, t + 1] = size
         t += 1
 
         done = size == 1
         if done.any():
-            winner[live[done]] = out[done].argmin(axis=1)
+            winner[live[done]] = (masks[done] if pid is None else masks[pid[done]]).argmin(axis=1)
             states[live[done]] = live_states[done]
             steps[live[done]] = t
             going = ~done
-            live, live_states, size, out = live[going], live_states[going], size[going], out[going]
+            live, live_states, size = live[going], live_states[going], size[going]
+            if pid is None:
+                masks = masks[going]
+            else:
+                pid = pid[going]
             remaining = remaining[going, : left - 1]
             rows = np.arange(live.size)
         else:
             remaining = remaining[:, : left - 1]
 
     return winner, evaluations, steps, case_order[:, :t], pool_sizes[:, : t + 1]
+
+
+def _distinct_pairs(pid: np.ndarray, case: np.ndarray, n_cases: int):
+    """The distinct (pool id, case) pairs of the trials, in key order, and
+    each trial's index among them."""
+    key = pid * n_cases + case
+    seen = np.bincount(key).astype(bool)
+    pairs = np.flatnonzero(seen)
+    return pairs // n_cases, pairs % n_cases, (np.cumsum(seen) - 1)[key]
+
+
+def _elite_filter(by_case: np.ndarray, pools: np.ndarray, case: np.ndarray):
+    """Filter each pool (a mask row, see ``_select_block``) to its elites on
+    its case; returns the filtered pools' masks and sizes."""
+    values = by_case[case]
+    values |= pools  # a non-member reads all-ones, above every code
+    beaten = (values > values.min(axis=1)[:, None]).view(np.uint8)
+    size = np.subtract(by_case.shape[1], np.add.reduce(beaten, axis=1, dtype=np.int32), dtype=np.int32)
+    return np.negative(beaten, dtype=by_case.dtype), size
 
 
 def static_epsilon_binarize(matrix: ErrorMatrix, thresholds) -> ErrorMatrix:

@@ -47,6 +47,20 @@ class TestOracleEquivalence:
 
 
 class TestDefinitionEquivalence:
+    def test_set_form_runs_once_per_threshold(self, two_triangles, monkeypatch):
+        # C = 10, so the 12 grid epsilons 0.05..0.60 map to t = 1, 1, 2, 2, ..., 6, 6
+        calls = []
+
+        def counted(prof, eps):
+            calls.append(eps)
+            return similarity_bruteforce(prof, eps)
+
+        monkeypatch.setattr(checks, "similarity_bruteforce", counted)
+        assert checks.definition_equivalence([("two-triangles", two_triangles)]) == (
+            True, "12 (profile, epsilon) points agree"
+        )
+        assert [str(eps) for eps in calls] == ["1/20", "3/20", "1/4", "7/20", "9/20", "11/20"]
+
     def test_disagreeing_set_form_fails(self, two_triangles, monkeypatch):
         off_by_one = lambda prof, eps: similarity_bruteforce(prof, eps) + 1  # noqa: E731
         monkeypatch.setattr(checks, "similarity_bruteforce", off_by_one)

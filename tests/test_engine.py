@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,37 @@ def scalar_traces(prof, trials, rng):
     return [lexicase_select(prof, rng.substream(i)) for i in range(trials)]
 
 
+@contextlib.contextmanager
+def counted_filters():
+    """Count the runner's elite filters: ``filters`` in all, ``shared`` of
+    them run once per distinct (pool, case) pair, the rest once per trial."""
+    counts = {"filters": 0, "shared": 0}
+    elite_filter, distinct_pairs = engine._elite_filter, engine._distinct_pairs
+
+    def counted_filter(*args):
+        counts["filters"] += 1
+        return elite_filter(*args)
+
+    def counted_pairs(*args):
+        counts["shared"] += 1
+        return distinct_pairs(*args)
+
+    engine._elite_filter, engine._distinct_pairs = counted_filter, counted_pairs
+    try:
+        yield counts
+    finally:
+        engine._elite_filter, engine._distinct_pairs = elite_filter, distinct_pairs
+
+
+@st.composite
+def few_row_profiles(draw):
+    """Profiles of 1-6 unique rows over 1-6 cases, so that a block of
+    hundreds of trials holds few distinct pools."""
+    n_cases = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 3), min_size=n_cases, max_size=n_cases)
+    return profile(draw(st.lists(row, min_size=1, max_size=6)))
+
+
 @st.composite
 def profiles_with_clones(draw):
     """Discrete profiles whose rows repeat, over narrow or wide loss ranges."""
@@ -155,6 +188,33 @@ class TestRunTrials:
         assert runner_traces(prof, trials, rng, block_trials) == expected
         # unique rows always separate, so every selection ends at one behavior
         assert all(trace.pool_sizes[-1] == 1 for trace in expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        prof=few_row_profiles(),
+        trials=st.integers(200, 3000),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**64 - 1),
+    )
+    def test_shared_filters_match_lexicase_select(self, prof, trials, seed, stream):
+        rng = RngStream(seed, stream)
+        with counted_filters() as counts:
+            traces = runner_traces(prof, trials, rng)
+        assert traces == scalar_traces(prof, trials, rng)
+        if prof.n_unique > 1:
+            # one pool times at most 6 cases: step 0 always filters per pair
+            assert counts["shared"] >= 1
+
+    def test_block_switches_from_shared_to_per_trial_filters(self):
+        # 40 rows over 3 cases: the first steps share a few pools, then the
+        # pools times 3 cases outnumber the trials still running
+        prof = profile(random_rows(21, 40, 3, 8))
+        assert prof.n_unique == 40
+        with counted_filters() as counts:
+            traces = runner_traces(prof, 50, RngStream(5))
+        assert traces == scalar_traces(prof, 50, RngStream(5))
+        assert counts["shared"] >= 1
+        assert counts["filters"] > counts["shared"]
 
     def test_single_unique_row(self):
         prof = profile([[3, 1], [3, 1], [3, 1]])
