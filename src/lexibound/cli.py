@@ -213,6 +213,8 @@ def cmd_sweep_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     seed = _resolve_seed(args.seed)
     grid = _epsilon_grid(args)
     matrix = read_matrix_csv(args.matrix)
@@ -254,8 +256,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_genpop(args) -> int:
     if args.spec is not None:
-        spec_path = Path(args.spec)
-        text = spec_path.read_text() if spec_path.exists() else args.spec
+        # Not probed with exists(), which raises on an over-long name.
+        text = args.spec if args.spec.lstrip().startswith("{") else Path(args.spec).read_text()
         spec = popgen.GenSpec.from_json(text)
     else:
         if args.kind is None or args.n is None or args.c is None:
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("genpop", help="generate a fixture population")
-    p.add_argument("--spec", help="GenSpec JSON (inline or a file path)")
+    p.add_argument("--spec", help="GenSpec JSON: inline if it starts with '{', else a file path")
     p.add_argument("--kind", choices=[k.value for k in popgen.GenKind])
     p.add_argument("--n", type=int, help="population size")
     p.add_argument("--c", type=int, help="number of cases")

@@ -188,31 +188,9 @@ def graph_from_distances(distances: np.ndarray, threshold: int) -> SimilarityGra
 # ---------------------------------------------------------------------------
 # Exact maximum clique: branch and bound on bitsets with greedy-coloring
 # pruning from the highest-degree vertex down, started from a known clique.
+# When the greedy clique meets the root coloring bound, as on a disjoint
+# union of cliques, the answer is exact with no search.
 # ---------------------------------------------------------------------------
-
-
-def _union_of_cliques_alpha(adjacency: np.ndarray) -> int | None:
-    """Largest clique size if the graph is a disjoint union of cliques, else None
-    (1 for no vertices). It is one iff u, v are adjacent or equal exactly when
-    their closed neighbourhoods have the same lowest vertex."""
-    n = adjacency.shape[0]
-    if n == 0:
-        return 1
-    closed = adjacency | np.eye(n, dtype=bool)
-    label = closed.argmax(axis=1)
-    if not (closed == (label[:, None] == label[None, :])).all():
-        return None
-    return int(np.bincount(label).max())
-
-
-def _greedy_clique(adjacency: np.ndarray, degree: np.ndarray) -> int:
-    """Size of a clique grown by repeatedly taking the highest-degree candidate."""
-    candidates = np.ones(adjacency.shape[0], dtype=bool)
-    size = 0
-    while candidates.any():
-        candidates &= adjacency[np.argmax(np.where(candidates, degree, -1))]
-        size += 1
-    return size
 
 
 def _bitsets(adjacency: np.ndarray) -> list[int]:
@@ -220,6 +198,17 @@ def _bitsets(adjacency: np.ndarray) -> list[int]:
     packed = np.packbits(adjacency, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
+def _greedy_clique(adj: list[int]) -> int:
+    """Size of a clique grown by repeatedly taking the lowest candidate bit,
+    which in degree order is the highest-degree candidate."""
+    candidates = (1 << len(adj)) - 1
+    size = 0
+    while candidates:
+        candidates &= adj[(candidates & -candidates).bit_length() - 1]
+        size += 1
+    return size
 
 
 def _color_sort(candidates: int, adj: list[int]) -> tuple[list[int], list[int]]:
@@ -279,36 +268,33 @@ def clique_number(
 ) -> SimilarityResult:
     """Exact clique number by branch and bound, or a sound bracket on budget.
 
-    A disjoint union of cliques is answered directly, with no search.
-    Otherwise vertices are preordered by degree, highest first (ties to the
-    lower index), and each node is pruned with a greedy coloring bound. The
-    search starts from the larger of a greedy clique and ``lower_bound``, the
-    size of a clique known to be in the graph (the sweep passes the one found
-    at the previous, smaller threshold). A larger start only prunes, so it
-    never widens the bracket or adds nodes. When the budget runs out the
-    result brackets the true value: the best clique found below, the root
-    coloring bound above.
+    Vertices are preordered by degree, highest first (ties to the lower
+    index), and each node is pruned with a greedy coloring bound. The search
+    starts from the larger of a greedy clique and ``lower_bound``, the size
+    of a clique known to be in the graph (the sweep passes the one found at
+    the previous, smaller threshold). A larger start only prunes, so it never
+    widens the bracket or adds nodes. When the greedy clique meets the root
+    coloring bound, as on a disjoint union of cliques, the answer is exact
+    with no search. When the budget runs out the result brackets the true
+    value: the best clique found below, the root coloring bound above.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n = graph.n_vertices
     if not 1 <= lower_bound <= max(n, 1):
         raise ValueError(f"lower_bound must be in [1, {max(n, 1)}], got {lower_bound}")
-    alpha = _union_of_cliques_alpha(graph.adjacency)
+    if n == 0:
+        return SimilarityResult(alpha_lower=1, alpha_upper=1, exact=True, search_nodes=0)
+    order = np.argsort(-graph.adjacency.sum(axis=1), kind="stable")
+    adj = _bitsets(graph.adjacency.take(order, axis=0).take(order, axis=1))
+    root_order, root_colors = _color_sort((1 << n) - 1, adj)
+    upper = max(root_colors)
+    lower = max(lower_bound, _greedy_clique(adj))
     nodes, exhausted = 0, False
-    if alpha is not None:
-        lower = upper = alpha
-    else:
-        degree = graph.adjacency.sum(axis=1)
-        order = np.argsort(-degree, kind="stable")
-        adj = _bitsets(graph.adjacency[np.ix_(order, order)])
-        root_order, root_colors = _color_sort((1 << n) - 1, adj)
-        upper = max(root_colors)
-        lower = max(lower_bound, _greedy_clique(graph.adjacency, degree))
-        if lower < upper:
-            lower, nodes, exhausted = _search(adj, root_order, root_colors, lower, node_budget)
-        if not exhausted:
-            upper = lower
+    if lower < upper:
+        lower, nodes, exhausted = _search(adj, root_order, root_colors, lower, node_budget)
+    if not exhausted:
+        upper = lower
     return SimilarityResult(
         alpha_lower=lower,
         alpha_upper=upper,
@@ -317,18 +303,17 @@ def clique_number(
     )
 
 
-def similarity_bruteforce(profile: DedupProfile, epsilon, delta=None) -> int:
+def similarity_bruteforce(profile: DedupProfile, epsilon) -> int:
     """Direct set-form evaluation: smallest k >= 2 such that every k-subset
     contains a pair at distance >= eps * C; N_unique + 1 when none exists.
 
     Exponential subset scan, independent of the clique solver; test oracle
-    only (rejects N_unique > 20).
+    only (rejects N_unique > 20, and real losses, which need a delta).
     """
     n = profile.n_unique
     if n > _BRUTEFORCE_LIMIT:
         raise ValueError(f"bruteforce oracle limited to {_BRUTEFORCE_LIMIT} rows, got {n}")
-    delta = _resolve_delta(profile.unique.kind, delta)
-    distances = pairwise_distance_matrix(profile.unique, delta)
+    distances = pairwise_distance_matrix(profile.unique)
     threshold = far_distance_threshold(epsilon, profile.n_cases)
     far = (distances >= threshold).tolist()
     for k in range(2, n + 1):

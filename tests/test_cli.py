@@ -46,6 +46,14 @@ class TestGenpop:
         assert run(["genpop", "--spec", str(spec), "--out", str(out)]) == 0
         assert read_matrix_csv(out).n_individuals == 6
 
+    def test_inline_spec_longer_than_a_file_name(self, tmp_path):
+        # past the 255-byte name limit, so it must never be probed as a path
+        spec = " \n" + json.dumps({"kind": "two_cluster", "n": 6, "c": 10, "params": {}}) + " " * 300
+        out = tmp_path / "tc.csv"
+        assert len(spec.encode()) > 255
+        assert run(["genpop", "--spec", spec, "--out", str(out)]) == 0
+        assert read_matrix_csv(out).n_individuals == 6
+
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run(["genpop", "--kind", "log_binary", "--n", "6", "--c", "10", "--out", str(out)]) == 2
@@ -237,6 +245,12 @@ class TestInputErrors:
         assert run(["genpop", "--spec", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert str(tmp_path) in capsys.readouterr().err
 
+    def test_missing_spec_path_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run(["genpop", "--spec", str(missing), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "No such file" in err
+
     def test_integer_beyond_2_53_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("9007199254740993,1\n9007199254740992,1\n1,1\n")
@@ -364,6 +378,16 @@ class TestInputErrors:
         argv = ["simulate", str(tmp_path / "pop.csv"), "--check-bound", "--epsilon", "0", "--trials", "200000"]
         assert run(argv) == 2
         assert capsys.readouterr().err == "lexibound: error: --epsilon must be a number in (0, 1], got '0'\n"
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trials_fail_before_any_work(self, trials, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args):
+            raise AssertionError("bounds.sweep ran before the --trials check")
+
+        monkeypatch.setattr(cli.bounds, "sweep", no_sweep)
+        (tmp_path / "pop.csv").write_text("0,1\n1,0\n1,1\n")
+        assert run(["simulate", str(tmp_path / "pop.csv"), "--check-bound", "--trials", trials]) == 2
+        assert capsys.readouterr().err == f"lexibound: error: --trials must be >= 1, got {trials}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -214,6 +214,11 @@ class TestCliqueNumber:
         assert res.alpha_lower + 1 == res.k == 2
         assert res.exact
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_or_one_vertex_needs_no_search(self, n):
+        res = clique_number(SimilarityGraph(n, np.zeros((n, n), bool)), node_budget=1)
+        assert (res.alpha_lower, res.alpha_upper, res.exact, res.search_nodes) == (1, 1, True, 0)
+
     def test_complete_graph(self):
         g = SimilarityGraph(5, ~np.eye(5, dtype=bool))
         res = clique_number(g)
@@ -261,6 +266,14 @@ class TestCliqueNumber:
         with pytest.raises(ValueError):
             clique_number(g, node_budget=0)
 
+    def test_union_of_40_unequal_cliques_needs_no_search(self):
+        # the size of a converged sweep graph: 300 vertices in cliques of 3..12,
+        # interleaved in index order
+        sizes = 3 + np.arange(40) % 10
+        labels = np.random.default_rng(15).permutation(np.repeat(np.arange(40), sizes))
+        res = clique_number(_graph(_union_of_cliques(labels)), node_budget=1)
+        assert (res.alpha_lower, res.alpha_upper, res.exact, res.search_nodes) == (12, 12, True, 0)
+
 
 def _similarity_graph(prof, eps) -> SimilarityGraph:
     return graph_from_distances(pairwise_distance_matrix(prof.unique), far_distance_threshold(eps, prof.n_cases))
@@ -293,6 +306,33 @@ def small_graphs(draw, max_n=14):
     return adjacency
 
 
+@st.composite
+def planted_graphs(draw, max_n=40):
+    """Planted clusters: each pair inside a cluster joined with probability
+    p, plus some vertices adjacent to their whole cluster."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = rng.integers(0, draw(st.integers(1, 5)), n)
+    upper = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.3, 0.5, 0.7, 0.85, 1.0])), 1)
+    universal = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    adjacency = (upper | upper.T | universal[:, None] | universal[None, :]) & np.equal.outer(label, label)
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+def greedy_clique(adjacency) -> int:
+    """Size of a clique grown by taking the highest-degree candidate, ties
+    to the lower index."""
+    degree = adjacency.sum(axis=1)
+    candidates = set(range(adjacency.shape[0]))
+    size = 0
+    while candidates:
+        v = min(candidates, key=lambda u: (-degree[u], u))
+        candidates &= set(np.flatnonzero(adjacency[v]).tolist())
+        size += 1
+    return size
+
+
 class TestCliqueSearchProperties:
     @settings(max_examples=100, deadline=None)
     @given(small_graphs())
@@ -307,6 +347,11 @@ class TestCliqueSearchProperties:
         res = clique_number(_graph(_union_of_cliques(labels)), node_budget=1)
         assert res.exact and res.search_nodes == 0
         assert res.alpha_lower == max([labels.count(x) for x in labels], default=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_graphs(), planted_graphs()))
+    def test_start_is_at_least_the_greedy_clique(self, adjacency):
+        assert clique_number(_graph(adjacency), node_budget=1).alpha_lower >= greedy_clique(adjacency)
 
     @settings(max_examples=100, deadline=None)
     @given(small_graphs(), st.integers(1, 40), st.data())
@@ -447,6 +492,11 @@ class TestSimilarityBruteforce:
     def test_rejects_large_population(self):
         prof = profile([[i] for i in range(21)])
         with pytest.raises(ValueError):
+            similarity_bruteforce(prof, 0.5)
+
+    def test_real_losses_need_a_delta(self):
+        prof = identity_profile(rmatrix([[0.5, 1.5], [1.0, 0.25]]))
+        with pytest.raises(ValueError, match="delta must be supplied"):
             similarity_bruteforce(prof, 0.5)
 
 
