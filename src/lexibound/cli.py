@@ -93,7 +93,7 @@ def render(rows, fmt: str) -> str:
 
 def _emit(text: str, out) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
 def cmd_genpop(args) -> int:
     if args.spec is not None:
         # Not probed with exists(), which raises on an over-long name.
-        text = args.spec if args.spec.lstrip().startswith("{") else Path(args.spec).read_text()
+        text = args.spec if args.spec.lstrip().startswith("{") else Path(args.spec).read_text(encoding="utf-8")
         spec = popgen.GenSpec.from_json(text)
     else:
         if args.kind is None or args.n is None or args.c is None:

@@ -405,7 +405,7 @@ def _sidecar_kind(path: Path) -> LossKind | None:
     if not sidecar.exists():
         return None
     try:
-        descriptor = json.loads(sidecar.read_text())
+        descriptor = json.loads(sidecar.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MatrixError(f"{sidecar}: invalid JSON descriptor: {exc}") from exc
     if not isinstance(descriptor, dict):
@@ -424,7 +424,7 @@ def _header_labels(row: list[str]) -> tuple[str, ...] | None:
 
 def _read_lines(path: Path) -> list[str]:
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
@@ -558,4 +558,4 @@ def write_matrix_csv(matrix: ErrorMatrix, path: str | Path) -> None:
             lines.append(",".join(str(int(v)) for v in row))
         else:
             lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -273,7 +273,9 @@ def clique_number(
     starts from the larger of a greedy clique and ``lower_bound``, the size
     of a clique known to be in the graph (the sweep passes the one found at
     the previous, smaller threshold). A larger start only prunes, so it never
-    widens the bracket or adds nodes. When the greedy clique meets the root
+    widens the bracket or adds nodes. A start above the root coloring bound
+    raises ValueError, since no clique is that large; one at or below that
+    bound is taken on trust. When the greedy clique meets the root
     coloring bound, as on a disjoint union of cliques, the answer is exact
     with no search. When the budget runs out the result brackets the true
     value: the best clique found below, the root coloring bound above.
@@ -289,6 +291,8 @@ def clique_number(
     adj = _bitsets(graph.adjacency.take(order, axis=0).take(order, axis=1))
     root_order, root_colors = _color_sort((1 << n) - 1, adj)
     upper = max(root_colors)
+    if lower_bound > upper:
+        raise ValueError(f"lower_bound {lower_bound} exceeds the coloring bound {upper}: no clique is that large")
     lower = max(lower_bound, _greedy_clique(adj))
     nodes, exhausted = 0, False
     if lower < upper:

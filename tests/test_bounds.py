@@ -2,8 +2,12 @@ import json
 from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexibound import bounds
 from lexibound.bounds import (
     BoundReport,
     best_epsilon,
@@ -12,11 +16,18 @@ from lexibound.bounds import (
     sweep,
 )
 from lexibound.cli import render
-from lexibound.core import RngStream, deduplicate
-from lexibound.diversity import similarity_bruteforce
-from lexibound.popgen import gen_adversarial_single_case, gen_random_uniform
+from lexibound.core import RngStream, deduplicate, identity_profile
+from lexibound.diversity import (
+    DEFAULT_NODE_BUDGET,
+    clique_number,
+    far_distance_threshold,
+    graph_from_distances,
+    pairwise_distance_matrix,
+    similarity_bruteforce,
+)
+from lexibound.popgen import gen_adversarial_single_case, gen_clustered, gen_random_uniform
 
-from conftest import profile
+from conftest import profile, rmatrix
 
 
 class TestTheoremBound:
@@ -110,6 +121,104 @@ class TestSweep:
     def test_rejects_empty_grid(self, two_triangles):
         with pytest.raises(ValueError):
             sweep(two_triangles, epsilons=())
+
+
+def searched_at_every_threshold(prof, grid, delta, budget):
+    """(k, exact_k) per grid epsilon from one warm-started clique search at
+    every distinct threshold in ascending order, shared graphs included."""
+    distances = pairwise_distance_matrix(prof.unique, delta)
+    thresholds = [far_distance_threshold(eps, prof.n_cases) for eps in grid]
+    results, lower = {}, 1
+    for t in sorted(set(thresholds)):
+        results[t] = clique_number(graph_from_distances(distances, t), budget, lower_bound=lower)
+        lower = results[t].alpha_lower
+    return [(results[t].k, results[t].exact) for t in thresholds]
+
+
+def counting_clique_calls(monkeypatch):
+    """Route the sweep's clique searches through a recorder of their graphs."""
+    graphs = []
+
+    def counted(graph, node_budget, *, lower_bound):
+        graphs.append(graph.adjacency.tobytes())
+        return clique_number(graph, node_budget, lower_bound=lower_bound)
+
+    monkeypatch.setattr(bounds, "clique_number", counted)
+    return graphs
+
+
+def profile_of_graph(adjacency) -> tuple[list[list[int]], int]:
+    """Rows whose pairwise distance is 2D - 2 on an edge and 2D off one, D the
+    largest degree: each edge is a case both ends mark, and each vertex marks
+    private cases until it has marked D."""
+    n = len(adjacency)
+    degree = adjacency.sum(axis=1)
+    marks = [(i, j) for i in range(n) for j in range(i + 1, n) if adjacency[i, j]]
+    marks += [(v,) for v in range(n) for _ in range(degree.max() - degree[v])]
+    return [[int(v in case) for case in marks] for v in range(n)], int(degree.max())
+
+
+class TestGroupedSweep:
+    """One clique search per distinct graph: thresholds t share a graph when
+    no distance d lies in t_prev <= d < t, and only an exact result is reused."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from(["discrete", "real"]),
+        st.lists(st.integers(1, 20), min_size=1, max_size=12),
+        st.sampled_from([1, 2, 5, DEFAULT_NODE_BUDGET]),
+    )
+    def test_equals_a_search_at_every_threshold(self, data, kind, twentieths, budget):
+        n = data.draw(st.integers(1, 12))
+        c = data.draw(st.integers(1, 8))
+        if kind == "discrete":
+            cells, delta = st.integers(0, 2), None
+        else:
+            cells, delta = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), data.draw(st.sampled_from([0.0, 0.1, 0.3]))
+        rows = data.draw(st.lists(st.lists(cells, min_size=c, max_size=c), min_size=n, max_size=n))
+        prof = profile(rows) if kind == "discrete" else identity_profile(rmatrix(rows))
+        grid = [Fraction(i, 20) for i in twentieths]
+        reports = sweep(prof, grid, delta, budget)
+        assert [(r.k, r.exact_k) for r in reports] == searched_at_every_threshold(prof, grid, delta, budget)
+
+    def test_threshold_on_a_present_distance_excludes_it(self, monkeypatch):
+        # distances {0, 3, 7, 10} on C = 10: t = 2 and t = 3 = d share the
+        # edgeless graph; t = 4 = d + 1 is the first to join the pair at 3
+        prof = profile([[0] * 10, [1] * 3 + [0] * 7, [1] * 10])
+        graphs = counting_clique_calls(monkeypatch)
+        grid = [Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)]
+        ks = [report.k for report in sweep(prof, grid)]
+        assert ks == [similarity_bruteforce(prof, eps) for eps in grid] == [2, 2, 3]
+        assert len(graphs) == 2
+
+    def test_one_search_per_distinct_graph(self, monkeypatch):
+        prof = deduplicate(gen_clustered(40, 30, 3, 0.1, RngStream(5)))
+        grid = default_epsilon_grid()
+        distances = pairwise_distance_matrix(prof.unique)
+        thresholds = sorted({far_distance_threshold(eps, prof.n_cases) for eps in grid})
+        distinct = [graph_from_distances(distances, t).adjacency.tobytes() for t in thresholds]
+        graphs = counting_clique_calls(monkeypatch)
+        assert all(report.exact_k for report in sweep(prof, grid))
+        # consecutive thresholds that share a graph share one search
+        assert graphs == [g for i, g in enumerate(distinct) if i == 0 or g != distinct[i - 1]]
+        assert len(set(graphs)) == len(graphs) < len(thresholds)
+
+    def test_inexact_result_on_a_shared_graph_is_searched_again(self, monkeypatch):
+        # a 14-vertex graph whose first 10-node search stops at [5, 6]; on the
+        # same graph the next threshold starts from 5, prunes more, and proves 6
+        src = RngStream(122).source()
+        adjacency = np.zeros((14, 14), dtype=bool)
+        for i in range(14):
+            for j in range(i + 1, 14):
+                adjacency[i, j] = adjacency[j, i] = src.randbelow(100) < 70
+        rows, top = profile_of_graph(adjacency)
+        prof = profile(rows)
+        grid = [Fraction(2 * top - 1, prof.n_cases), Fraction(2 * top, prof.n_cases)]
+        graphs = counting_clique_calls(monkeypatch)
+        reports = sweep(prof, grid, node_budget=10)
+        assert [(r.k, r.exact_k) for r in reports] == [(7, False), (7, True)]
+        assert len(graphs) == 2 and graphs[0] == graphs[1]
 
 
 class TestBestEpsilon:

@@ -77,10 +77,13 @@ class TestDefinitionEquivalence:
         assert not ok
         assert "(exact: False)" in detail and detail.endswith("on two-triangles")
 
-    def test_wrong_warm_started_search_fails(self, two_triangles, monkeypatch):
-        # the check must run the sweep's warm-started searches, not cold ones:
-        # alpha is 1 up to eps 0.2 and 3 from 0.25; 0.3 shares t = 3 with 0.25,
-        # so t = 4 (eps 0.35) is the first warm call
+    def test_wrong_warm_started_search_fails(self, monkeypatch):
+        # the check must run the sweep's warm-started searches, not cold ones.
+        # Distances 2, 5 and 5 on C = 10 give three graphs: edgeless up to
+        # t = 2, one edge for t = 3..5 (alpha 2), a triangle from t = 6. So
+        # t = 6 (eps 0.55) is a warm call with lower_bound 2.
+        rising_triangle = profile([[0] * 10, [1, 1] + [0] * 8, [1, 0, 1, 1, 1, 1, 0, 0, 0, 0]])
+
         def wrong_when_warm(graph, node_budget, *, lower_bound):
             result = clique_number(graph, node_budget, lower_bound=lower_bound)
             if lower_bound > 1:
@@ -88,9 +91,9 @@ class TestDefinitionEquivalence:
             return result
 
         monkeypatch.setattr(bounds, "clique_number", wrong_when_warm)
-        ok, detail = checks.definition_equivalence([("two-triangles", two_triangles)])
+        ok, detail = checks.definition_equivalence([("rising-triangle", rising_triangle)])
         assert not ok
-        assert detail == "set-form k=4 vs clique-form k=5 (exact: True) at eps=7/20 on two-triangles"
+        assert detail == "set-form k=4 vs clique-form k=5 (exact: True) at eps=11/20 on rising-triangle"
 
 
 class TestBoundMonotonicity:

@@ -569,3 +569,26 @@ class TestVerify:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == (GOLDEN / "verify-fast.txt").read_text()
+
+
+class TestUtf8Everywhere:
+    def test_commands_pass_with_encoding_warnings_as_errors(self, tmp_path):
+        # every text file is opened as UTF-8 explicitly, so no default-locale
+        # EncodingWarning is raised on any read or write path
+        flags = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "lexibound"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "clustered", "n": 16, "c": 12, "params": {"clusters": 2, "spread": 0.1}}\n', encoding="utf-8")
+        (tmp_path / "run").mkdir()
+        matrix = tmp_path / "run" / "gen_0.csv"
+        Path(str(matrix) + ".json").write_text('{"kind": "discrete"}\n', encoding="utf-8")
+        commands = [
+            ["genpop", "--spec", str(spec), "--out", str(matrix), "--seed", "1"],
+            ["analyze", str(matrix), "--out", str(tmp_path / "bounds.csv")],
+            ["simulate", str(matrix), "--trials", "100", "--check-bound", "--epsilon", "0.3"],
+            ["sweep-run", str(tmp_path / "run")],
+        ]
+        for argv in commands:
+            done = subprocess.run([*flags, *argv], capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, (argv, done.stderr)
+        assert (tmp_path / "bounds.csv").read_text(encoding="utf-8").startswith("epsilon,delta,k,exact_k,")

@@ -370,6 +370,15 @@ class TestCliqueSearchProperties:
             with pytest.raises(ValueError, match="lower_bound"):
                 clique_number(g, lower_bound=bad)
 
+    def test_rejects_lower_bound_above_the_coloring_bound(self):
+        # a triangle plus an isolated vertex: no clique of 4 fits in 3 colors
+        adjacency = np.zeros((4, 4), bool)
+        adjacency[:3, :3] = ~np.eye(3, dtype=bool)
+        with pytest.raises(ValueError, match="lower_bound 4 exceeds the coloring bound 3"):
+            clique_number(_graph(adjacency), lower_bound=4)
+        result = clique_number(_graph(adjacency), lower_bound=3)
+        assert (result.alpha_lower, result.alpha_upper, result.exact) == (3, 3, True)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.lists(st.integers(0, 2), min_size=6, max_size=6), min_size=1, max_size=14),
@@ -402,8 +411,9 @@ class TestCliqueSearchProperties:
             assert (report.k, report.exact_k) == first
 
     def test_sweep_warm_starts_each_call(self, monkeypatch):
-        # one call per distinct threshold t = ceil(eps * C), in ascending t,
-        # each warm-started from the clique the call before it found
+        # one call per distinct graph, in ascending t = ceil(eps * C) (here
+        # each threshold's graph differs), each warm-started from the clique
+        # the call before it found
         calls = []
 
         def recording(graph, node_budget, *, lower_bound):
