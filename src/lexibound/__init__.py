@@ -40,11 +40,10 @@ from .bounds import (
     sweep,
 )
 from .simulate import (
-    DriftEntry,
     RunStats,
-    drift_check,
     estimate_runtime,
     oracle_distribution,
+    pool_shrinkage,
     selection_distribution,
 )
 from .popgen import (

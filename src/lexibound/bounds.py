@@ -16,7 +16,7 @@ benchmark's converged sweep_converged populations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -106,7 +106,8 @@ def sweep(
     searched only where it changes, that is where some present distance d
     has t_prev <= d < t. Every other t reuses the previous result when it is
     exact; an inexact one is searched again, warm-started from its lower
-    end, since a fresh budget can narrow the bracket.
+    end, since a fresh budget can narrow the bracket. Last, each upper end is
+    capped at the least one found at a larger t, so k never falls as eps grows.
     """
     grid = tuple(exact_fraction(e) for e in (epsilons if epsilons is not None else default_epsilon_grid()))
     if not grid:
@@ -134,6 +135,14 @@ def sweep(
             result = clique_number(graph_from_distances(distances, threshold), node_budget, lower_bound=lower)
             lower, last = result.alpha_lower, key
         results[threshold] = result
+    # Alpha never falls as t grows, so the least upper end found at a larger t
+    # caps every smaller t; a row whose cap meets its lower end is exact.
+    cap = math.inf
+    for threshold in reversed(thresholds):
+        result = results[threshold]
+        if result.alpha_upper > cap:
+            results[threshold] = replace(result, alpha_upper=cap, exact=cap == result.alpha_lower)
+        cap = min(cap, result.alpha_upper)
     worst_case = float(n * c)
     reports = []
     for eps, threshold, term_pool in points:

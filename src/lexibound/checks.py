@@ -4,15 +4,19 @@
 their own fixtures, sizes and tolerances. A fixture is a tuple whose first
 entry names it. A check returns ``(ok, detail)``: ok when the property
 holds on every fixture, else a detail that names the first failure.
-The drift and bound checks use a one-sided 3-standard-error margin: a
-seeded failure reproduces, and false failures occur about 0.1% of the time.
+The drift check is exact. The bound check uses a one-sided
+3-standard-error margin: a seeded failure reproduces, and false failures
+occur about 0.1% of the time.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from . import bounds, simulate
+from .core import exact_fraction
 from .diversity import far_distance_threshold, similarity_bruteforce
 
 
@@ -64,20 +68,28 @@ def bound_monotonicity(fixtures) -> tuple[bool, str]:
     return True, f"{count} fixtures over the default grid"
 
 
-def drift_inequality(fixtures, trials: int) -> tuple[bool, str]:
-    """``E[X'|x] <= x(1 - eps/4)`` at every pool size ``x >= 2k`` that
-    ``trials`` selections reach, and they reach one. Fixtures are ``(name,
-    profile, report, rng)``, with the profile's BoundReport at eps."""
+def drift_inequality(fixtures) -> tuple[bool, str]:
+    """``E[X'|P] <= |P|(1 - eps/4)``, checked exactly on every reachable pool
+    ``P`` with ``|P| >= 2k``, and there is one. Fixtures are ``(name,
+    profile, report)``, with the profile's BoundReport at eps. A pool's mean
+    elite size over all C cases bounds ``E[X'|P]`` under any history of
+    draws (``simulate.pool_shrinkage``); the check stops at the first pool
+    that breaks the inequality."""
     parts = []
-    for name, profile, report, rng in fixtures:
+    for name, profile, report in fixtures:
         if not report.exact_k:
             return False, f"clique budget exhausted on {name}"
         k = report.k
-        table = simulate.drift_check(profile, report.epsilon, k, trials, rng)
-        flagged = [entry.pool_size for entry in table if entry.flagged]
-        parts.append(f"k={k}, {len(table)} pool sizes >= {2 * k} checked, flagged: {flagged or 'none'}")
-        if flagged or not table:
-            return False, f"{parts[-1]} on {name}"
+        limit = 1 - exact_fraction(report.epsilon) / 4
+        pools, worst = 0, Fraction(0)
+        for pools, (pool, elite_total) in enumerate(simulate.pool_shrinkage(profile, 2 * k), 1):
+            ratio = Fraction(elite_total, profile.n_cases * len(pool))
+            if ratio > limit:
+                return False, f"k={k}: a pool of {len(pool)} keeps {ratio} > 1 - eps/4 = {limit} on {name}"
+            worst = max(worst, ratio)
+        if not pools:
+            return False, f"k={k}: no reachable pool of {2 * k} or more on {name}"
+        parts.append(f"k={k}, {pools} pools >= {2 * k}, worst ratio {float(worst):.3f} <= {float(limit):.4f}")
     return True, "; ".join(parts)
 
 

@@ -323,8 +323,11 @@ def _monotonicity_fixtures(seed: int):
 
 
 def _drift_fixtures(seed: int):
-    profile = deduplicate(popgen.gen_clustered(24, 40, 3, 0.05, RngStream(seed, 800)))
-    yield "clustered-24x40", profile, bounds.sweep(profile, ["0.2"])[0], RngStream(seed, 801)
+    clustered = deduplicate(popgen.gen_clustered(24, 40, 3, 0.05, RngStream(seed, 800)))
+    yield "clustered-24x40", clustered, bounds.sweep(clustered, ["0.2"])[0]
+    # _bound_runs's random-30x30 profile: k is small, so many pools are >= 2k
+    uniform = deduplicate(popgen.gen_random_uniform(30, 30, 3, RngStream(seed, 900)))
+    yield "random-30x30", uniform, bounds.sweep(uniform, ["0.05"])[0]
 
 
 def _bound_runs(seed: int, trials: int):
@@ -351,7 +354,7 @@ def cmd_verify(args) -> int:
         "bound-monotonicity": lambda: checks.bound_monotonicity(_monotonicity_fixtures(seed)),
     }
     if args.level == "full":
-        runs["drift-inequality"] = lambda: checks.drift_inequality(_drift_fixtures(seed), 10_000)
+        runs["drift-inequality"] = lambda: checks.drift_inequality(_drift_fixtures(seed))
         runs["bound-validity"] = lambda: checks.bound_validity(_bound_runs(seed, 10_000))
 
     failed = []

@@ -1,9 +1,10 @@
-"""Monte Carlo runtime estimation and exact small-instance oracles.
+"""Monte Carlo runtime estimation and exact recursions over selection pools.
 
-Estimates live alongside two ground-truth routes: an exact recursion over
-selection pools for winner distributions on small instances, and the per-step
-drift table that checks the pool-shrinkage inequality
-E[X_{t+1} | X_t = x] <= x (1 - eps/4) for x >= 2k behind the runtime bound.
+Estimates live alongside two exact routes that share one step, the elites
+of the cases that split a pool: the winner distribution on small instances,
+and the reachable pools of at least a given size with the elite sizes that
+bound their one-step shrinkage E[X_{t+1} | X_t = x] <= x (1 - eps/4) for
+x >= 2k behind the runtime bound.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from .engine import run_trials
 
 __all__ = [
     "RunStats",
-    "DriftEntry",
     "estimate_runtime",
     "selection_distribution",
     "oracle_distribution",
-    "drift_check",
+    "pool_shrinkage",
 ]
 
 # Bounds the oracle's pools to 2^12 and its recursion depth to 12.
@@ -50,15 +50,6 @@ class RunStats:
     pool_size_profile: tuple[float, ...]
 
 
-def _mean_and_se(count: int, total: int, total_sq: int) -> tuple[float, float]:
-    """Mean and its standard error from exact integer sums of ``count`` samples."""
-    mean = total / count
-    if count < 2:
-        return mean, 0.0
-    variance = (total_sq - count * mean * mean) / (count - 1)
-    return mean, math.sqrt(max(variance, 0.0)) / math.sqrt(count)
-
-
 def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunStats:
     """Run ``trials`` independent selections (substreams 0..trials-1) and
     aggregate evaluation counts and the pool-size trajectory."""
@@ -77,7 +68,11 @@ def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunS
         iterations += int(block.steps.sum())
         columns.append((block.pool_sizes.sum(axis=0), len(m)))
 
-    mean, std_error = _mean_and_se(trials, total, total_sq)
+    mean = total / trials
+    std_error = 0.0
+    if trials >= 2:
+        variance = (total_sq - trials * mean * mean) / (trials - 1)
+        std_error = math.sqrt(max(variance, 0.0)) / math.sqrt(trials)
     # Trials of a block with fewer columns are absorbed at pool size 1.
     width = max(len(sums) for sums, _ in columns)
     profile_sums = sum(np.pad(sums, (0, width - len(sums)), constant_values=n) for sums, n in columns)
@@ -100,6 +95,18 @@ def selection_distribution(profile: DedupProfile, trials: int, rng: RngStream) -
     return counts / trials
 
 
+def _splits(columns: list[list], pool: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The elite of each case that splits ``pool``, from per-case loss
+    ``columns``; every other case ties the whole pool."""
+    elites = []
+    for column in columns:
+        best = min(column[i] for i in pool)
+        elite = tuple(i for i in pool if column[i] == best)
+        if len(elite) < len(pool):
+            elites.append(elite)
+    return elites
+
+
 def oracle_distribution(profile: DedupProfile) -> np.ndarray:
     """Exact winner probability per original individual.
 
@@ -117,12 +124,7 @@ def oracle_distribution(profile: DedupProfile) -> np.ndarray:
 
     @functools.cache
     def wins(pool: tuple[int, ...]) -> dict[int, Fraction]:
-        elites = []
-        for column in columns:
-            best = min(column[i] for i in pool)
-            elite = tuple(i for i in pool if column[i] == best)
-            if len(elite) < len(pool):
-                elites.append(elite)
+        elites = _splits(columns, pool)
         if not elites:  # one row, or rows that tie on every case
             return {i: Fraction(1, len(pool)) for i in pool}
         mass: dict[int, Fraction] = {}
@@ -138,69 +140,25 @@ def oracle_distribution(profile: DedupProfile) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DriftEntry:
-    """Empirical one-step pool shrinkage at a single pool size x >= 2k."""
+def pool_shrinkage(profile: DedupProfile, floor: int):
+    """Yield ``(pool, elite_total)`` once for each pool of at least ``floor``
+    unique rows that selection can reach, depth first.
 
-    pool_size: int
-    transitions: int
-    mean_next: float
-    std_error: float
-    bound: float  # x * (1 - eps/4)
-    flagged: bool  # mean_next - 3 SE exceeds the bound
-
-
-def drift_check(
-    profile: DedupProfile,
-    epsilon: float,
-    k: int,
-    trials: int,
-    rng: RngStream,
-) -> list[DriftEntry]:
-    """Check E[X_{t+1} | X_t = x] <= x (1 - eps/4) for every observed x >= 2k.
-
-    Buckets transitions by exact pool size (the inequality is per-x), pooled
-    across steps and trials. An entry is flagged when its empirical mean
-    minus 3 standard errors still exceeds the bound. Requires trials >= 1000
-    so the per-x means are meaningful.
+    ``elite_total`` sums the pool's elite size over all C cases, so
+    ``elite_total / (C |P|)`` is the fraction of the pool one draw keeps on
+    average. A case already drawn ties the whole pool, the largest elite any
+    case leaves, so that fraction bounds E[X'|P] / |P| whatever cases were
+    drawn before. Pools below ``floor`` are neither yielded nor entered.
     """
-    if trials < 1000:
-        raise ValueError(f"drift_check needs trials >= 1000, got {trials}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    eps = float(epsilon)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
-    floor = 2 * k
-    n = profile.n_unique
-    counts = np.zeros(n + 1, dtype=np.int64)
-    totals = np.zeros(n + 1, dtype=np.int64)
-    totals_sq = np.zeros(n + 1, dtype=np.int64)
-    for block in run_trials(profile, trials, rng):
-        # Past the end of a trace pool sizes read 1 < floor, so every
-        # transition counted here is one that the selection made.
-        x = block.pool_sizes[:, :-1]
-        counted = x >= floor
-        x = x[counted]
-        y = block.pool_sizes[:, 1:][counted].astype(np.int64)
-        counts += np.bincount(x, minlength=n + 1)
-        np.add.at(totals, x, y)
-        np.add.at(totals_sq, x, y * y)
-
-    factor = 1.0 - eps / 4.0
-    table = []
-    for x in np.flatnonzero(counts).tolist():
-        count, total, total_sq = int(counts[x]), int(totals[x]), int(totals_sq[x])
-        mean, se = _mean_and_se(count, total, total_sq)
-        bound = x * factor
-        table.append(
-            DriftEntry(
-                pool_size=x,
-                transitions=count,
-                mean_next=mean,
-                std_error=se,
-                bound=bound,
-                flagged=mean - 3.0 * se > bound,
-            )
-        )
-    return table
+    columns = profile.unique.losses.T.tolist()
+    c = profile.n_cases
+    stack = [tuple(range(profile.n_unique))] if profile.n_unique >= floor else []
+    seen = set(stack)
+    while stack:
+        pool = stack.pop()
+        elites = _splits(columns, pool)
+        yield pool, (c - len(elites)) * len(pool) + sum(map(len, elites))
+        for elite in elites:
+            if len(elite) >= floor and elite not in seen:
+                seen.add(elite)
+                stack.append(elite)

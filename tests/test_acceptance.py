@@ -190,9 +190,9 @@ def test_criterion_7_drift_inequality():
             prof = deduplicate(matrix)
             result = sweep(prof, [eps])[0]
             assert result.exact_k and result.k == expected_k
-            runs.append((f"clustered fixture {i}", prof, result, RngStream(7100, i)))
-        # every fixture must exercise pool sizes >= 2k and flag none
-        ok, detail = checks.drift_inequality(runs, TRIALS)
+            runs.append((f"clustered fixture {i}", prof, result))
+        # every fixture must reach a pool of 2k or more, and no such pool breaks the inequality
+        ok, detail = checks.drift_inequality(runs)
         assert ok, detail
         print(f"  {len(fixtures)} clustered fixtures: {detail}")
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexibound import bounds
+from lexibound import bounds, checks
 from lexibound.bounds import (
     BoundReport,
     best_epsilon,
@@ -125,14 +126,19 @@ class TestSweep:
 
 def searched_at_every_threshold(prof, grid, delta, budget):
     """(k, exact_k) per grid epsilon from one warm-started clique search at
-    every distinct threshold in ascending order, shared graphs included."""
+    every distinct threshold in ascending order, shared graphs included, each
+    upper end then capped at the least one found at a larger threshold."""
     distances = pairwise_distance_matrix(prof.unique, delta)
     thresholds = [far_distance_threshold(eps, prof.n_cases) for eps in grid]
     results, lower = {}, 1
     for t in sorted(set(thresholds)):
         results[t] = clique_number(graph_from_distances(distances, t), budget, lower_bound=lower)
         lower = results[t].alpha_lower
-    return [(results[t].k, results[t].exact) for t in thresholds]
+    rows, cap = {}, math.inf
+    for t in sorted(results, reverse=True):
+        cap = min(cap, results[t].alpha_upper)
+        rows[t] = (cap + 1, results[t].exact or cap == results[t].alpha_lower)
+    return [rows[t] for t in thresholds]
 
 
 def counting_clique_calls(monkeypatch):
@@ -219,6 +225,20 @@ class TestGroupedSweep:
         reports = sweep(prof, grid, node_budget=10)
         assert [(r.k, r.exact_k) for r in reports] == [(7, False), (7, True)]
         assert len(graphs) == 2 and graphs[0] == graphs[1]
+
+
+    def test_k_never_falls_after_an_inexact_search(self):
+        # budget 10 stops the search at t = 2D - 1 with k = 11; the same graph's
+        # warm-started search at t = 2D proves alpha 7, which caps the first row
+        rng = np.random.default_rng(0)
+        n, p = rng.integers(14, 30), rng.uniform(0.5, 0.85)
+        adjacency = np.triu(rng.random((n, n)) < p, 1)
+        rows, top = profile_of_graph(adjacency | adjacency.T)
+        prof = profile(rows)
+        assert (n, top, prof.n_cases) == (27, 19, 303)
+        reports = sweep(prof, [Fraction(2 * top - 1, prof.n_cases), Fraction(2 * top, prof.n_cases)], node_budget=10)
+        assert [(r.k, r.exact_k) for r in reports] == [(8, True), (8, True)]
+        assert checks.bound_monotonicity([("repro", reports)])[0]
 
 
 class TestBestEpsilon:

@@ -10,10 +10,10 @@ import pytest
 
 from lexibound import bounds, checks
 from lexibound.bounds import sweep
-from lexibound.core import RngStream
+from lexibound.core import RngStream, deduplicate
 from lexibound.diversity import clique_number, similarity_bruteforce
-from lexibound.popgen import gen_adversarial_single_case
-from lexibound.simulate import estimate_runtime
+from lexibound.popgen import gen_adversarial_single_case, gen_clustered
+from lexibound.simulate import estimate_runtime, pool_shrinkage
 
 from conftest import profile
 
@@ -114,23 +114,61 @@ class TestDriftInequality:
         return replace(sweep(self.ADVERSARIAL, ["0.6"])[0], k=k, exact_k=exact)
 
     def test_too_small_k_flags(self):
-        # the pool stays at 30 until case 0 is drawn: E[X'|30] ~ 28.2 > 30 * (1 - 0.6/4)
-        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.report(2), RngStream(4))]
-        ok, detail = checks.drift_inequality(fixtures, 1000)
-        assert not ok
-        assert "flagged: [" in detail and detail.endswith("on adversarial-30x30")
+        # only case 0 splits the pool of 30, down to 1: 29 * 30 + 1 rows kept of 900
+        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.report(2))]
+        detail = "k=2: a pool of 30 keeps 871/900 > 1 - eps/4 = 17/20 on adversarial-30x30"
+        assert checks.drift_inequality(fixtures) == (False, detail)
 
     def test_no_pool_size_reached_fails(self):
         result = sweep(self.ADVERSARIAL, [0.2])[0]
-        assert result.exact_k and 2 * result.k > 30
-        fixtures = [("adversarial-30x30", self.ADVERSARIAL, result, RngStream(5))]
-        ok, detail = checks.drift_inequality(fixtures, 1000)
-        assert not ok
-        assert detail.startswith(f"k={result.k}, 0 pool sizes") and detail.endswith("on adversarial-30x30")
+        assert (result.exact_k, result.k) == (True, 31)
+        fixtures = [("adversarial-30x30", self.ADVERSARIAL, result)]
+        detail = "k=31: no reachable pool of 62 or more on adversarial-30x30"
+        assert checks.drift_inequality(fixtures) == (False, detail)
 
     def test_inexact_k_fails(self):
-        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.report(2, exact=False), RngStream(6))]
-        assert checks.drift_inequality(fixtures, 1000) == (False, "clique budget exhausted on adversarial-30x30")
+        fixtures = [("adversarial-30x30", self.ADVERSARIAL, self.report(2, exact=False))]
+        assert checks.drift_inequality(fixtures) == (False, "clique budget exhausted on adversarial-30x30")
+
+    @pytest.mark.parametrize(
+        "name, matrix, eps, detail",
+        [
+            (
+                "clustered-24x40",  # verify's fixture at seed 0
+                gen_clustered(24, 40, 3, 0.05, RngStream(0, 800)),
+                "0.2",
+                "k=1: a pool of 3 keeps 23/24 > 1 - eps/4 = 19/20 on clustered-24x40",
+            ),
+            (
+                "clustered-60x120",  # criterion 7's fixtures
+                gen_clustered(60, 120, 4, 0.05, RngStream(1002)),
+                "0.15",
+                "k=1: a pool of 3 keeps 29/30 > 1 - eps/4 = 77/80 on clustered-60x120",
+            ),
+            (
+                "clustered-24x40b",
+                gen_clustered(24, 40, 3, 0.05, RngStream(7001)),
+                "0.2",
+                "k=1: a pool of 5 keeps 191/200 > 1 - eps/4 = 19/20 on clustered-24x40b",
+            ),
+        ],
+    )
+    def test_k_of_one_fails_at_an_early_pool(self, monkeypatch, name, matrix, eps, detail):
+        # with k = 1 the 60x120 fixture has 137,492 pools of 2 or more; the
+        # check stops at the first that breaks the inequality
+        prof = deduplicate(matrix)
+        report = sweep(prof, [eps])[0]
+        assert report.exact_k and report.k > 1
+        yielded = []
+
+        def counted(profile, floor):
+            for item in pool_shrinkage(profile, floor):
+                yielded.append(item)
+                yield item
+
+        monkeypatch.setattr(checks.simulate, "pool_shrinkage", counted)
+        assert checks.drift_inequality([(name, prof, replace(report, k=1))]) == (False, detail)
+        assert len(yielded) < 100
 
 
 class TestBoundValidity:

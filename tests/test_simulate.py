@@ -18,9 +18,9 @@ from lexibound.popgen import (
     gen_log_binary,
 )
 from lexibound.simulate import (
-    drift_check,
     estimate_runtime,
     oracle_distribution,
+    pool_shrinkage,
     selection_distribution,
 )
 
@@ -195,36 +195,69 @@ class TestOracleDistribution:
             oracle_distribution(wide)
 
 
-class TestDriftCheck:
+def reachable_pools(rows) -> set[tuple[int, ...]]:
+    """Every pool some sequence of distinct cases filters the rows down to."""
+    c = len(rows[0])
+    pools = set()
+    for r in range(c + 1):
+        for order in itertools.permutations(range(c), r):
+            pool = list(range(len(rows)))
+            for case in order:
+                best = min(rows[i][case] for i in pool)
+                pool = [i for i in pool if rows[i][case] == best]
+            pools.add(tuple(pool))
+    return pools
+
+
+class TestPoolShrinkage:
     def test_all_distinct_population(self):
-        # every pair differs on every case: one draw always collapses the pool
+        # every pair differs on every case: each case leaves one row
         prof = profile([[i] * 6 for i in range(8)])
-        table = drift_check(prof, 0.5, 2, 2_000, RngStream(12))
-        assert len(table) == 1
-        entry = table[0]
-        assert entry.pool_size == 8
-        assert entry.mean_next == 1.0
-        assert not entry.flagged
+        assert list(pool_shrinkage(prof, 4)) == [(tuple(range(8)), 6)]
 
-    def test_two_triangles_vacuous(self, two_triangles):
-        # k = 4 at eps 0.5, so only x >= 8 rows qualify; N is 6
-        table = drift_check(two_triangles, 0.5, 4, 1_000, RngStream(13))
-        assert table == []
+    def test_floor_above_n_yields_nothing(self, two_triangles):
+        # k = 4 at eps 0.5, so only pools of 8 or more qualify; N is 6
+        assert list(pool_shrinkage(two_triangles, 8)) == []
 
-    def test_clustered_zero_flags(self):
+    def test_clustered_pools_satisfy_the_inequality(self):
         prof = deduplicate(gen_clustered(24, 40, 3, 0.05, RngStream(0, 800)))
-        eps = 0.2
-        result = sweep(prof, [eps])[0]
+        result = sweep(prof, [0.2])[0]
         assert result.exact_k and result.k == 9
-        table = drift_check(prof, eps, result.k, 3_000, RngStream(14))
-        assert table  # pool sizes >= 18 do occur (X_0 = 24)
-        assert not any(entry.flagged for entry in table)
+        pools = list(pool_shrinkage(prof, 2 * result.k))
+        assert pools  # the whole pool of 24 is one
+        assert all(Fraction(total, prof.n_cases * len(pool)) <= Fraction(19, 20) for pool, total in pools)
 
-    def test_rejects_low_trials_and_bad_k(self, two_triangles):
-        with pytest.raises(ValueError):
-            drift_check(two_triangles, 0.5, 4, 999, RngStream(0))
-        with pytest.raises(ValueError):
-            drift_check(two_triangles, 0.5, 1, 1_000, RngStream(0))
+    @settings(max_examples=150, deadline=None)
+    @given(populations_with_clones(), st.integers(1, 7))
+    def test_yields_each_reachable_pool_once(self, rows, floor):
+        prof = profile(rows)
+        unique = prof.unique.losses.tolist()
+        yielded = list(pool_shrinkage(prof, floor))
+        pools = [pool for pool, _ in yielded]
+        assert len(set(pools)) == len(pools)
+        assert set(pools) == {pool for pool in reachable_pools(unique) if len(pool) >= floor}
+        for pool, total in yielded:
+            elites = [sum(unique[i][case] == min(unique[j][case] for j in pool) for i in pool) for case in range(prof.n_cases)]
+            assert total == sum(elites)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 10), st.integers(2, 11), st.integers(0, 2**32 - 1))
+    def test_inequality_holds_on_every_subset(self, levels, c, n, seed):
+        # not only on reachable pools: at each eps in 1/20..1, the mean elite
+        # size over all C cases of any set of 2k or more distinct rows is at
+        # most |S|(1 - eps/4)
+        prof = profile(random_rows(seed, n, c, levels))
+        losses = prof.unique.losses
+        worst = {}  # subset size -> the largest fraction one draw keeps
+        for size in range(2, prof.n_unique + 1):
+            for subset in itertools.combinations(range(prof.n_unique), size):
+                sub = losses[list(subset)]
+                kept = Fraction(int((sub == sub.min(axis=0)).sum()), c * size)
+                worst[size] = max(worst.get(size, kept), kept)
+        grid = [Fraction(i, 20) for i in range(1, 21)]
+        for eps, report in zip(grid, sweep(prof, grid)):
+            assert report.exact_k
+            assert all(worst[size] <= 1 - eps / 4 for size in worst if size >= 2 * report.k)
 
 
 class TestSerialization:
@@ -241,12 +274,3 @@ class TestSerialization:
         lines = render([summary], "csv").strip().split("\n")
         assert lines[0].startswith("trials,mean_evaluations")
         assert lines[1].split(",")[0] == "100"
-
-    def test_drift_table_serializers(self):
-        prof = profile([[i] * 6 for i in range(8)])
-        table = drift_check(prof, 0.5, 2, 1_000, RngStream(16))
-        parsed = json.loads(render([asdict(e) for e in table], "json"))
-        assert parsed[0]["pool_size"] == 8
-        csv_text = render([asdict(e) for e in table], "csv")
-        assert csv_text.splitlines()[0] == "pool_size,transitions,mean_next,std_error,bound,flagged"
-        assert csv_text.splitlines()[1].startswith("8,")
