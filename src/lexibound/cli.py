@@ -47,7 +47,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
-SEED_ENV = "LEXIBOUND_SEED"
 DEFAULT_TRIALS = 10_000
 
 _GEN_FILE = re.compile(r"^gen_(\d+)\.csv$")
@@ -57,16 +56,12 @@ def _fail(message: str) -> None:
     print(f"lexibound: error: {message}", file=sys.stderr)
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
+def _check_seed(seed: int) -> int:
+    """A --seed value; RngStream reads seeds modulo 2**64, so one outside
+    [0, 2**64) would alias a seed inside it."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _cell(value) -> str:
@@ -215,7 +210,7 @@ def cmd_sweep_run(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     grid = _epsilon_grid(args)
     matrix = read_matrix_csv(args.matrix)
     if matrix.kind is LossKind.REAL:
@@ -256,6 +251,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_genpop(args) -> int:
     if args.spec is not None:
+        names = ("kind", "n", "c", "levels", "clusters", "spread", "seed")
+        given = [name for name in names if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--{given[0]} cannot be combined with --spec, which sets every generator field")
         # Not probed with exists(), which raises on an over-long name.
         text = args.spec if args.spec.lstrip().startswith("{") else Path(args.spec).read_text(encoding="utf-8")
         spec = popgen.GenSpec.from_json(text)
@@ -273,7 +272,7 @@ def cmd_genpop(args) -> int:
             kind=popgen.GenKind(args.kind),
             n=args.n,
             c=args.c,
-            seed=_resolve_seed(args.seed),
+            seed=_check_seed(args.seed or 0),
             params=params,
         )
     matrix = popgen.generate(spec)
@@ -343,7 +342,7 @@ def _bound_runs(seed: int, trials: int):
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     fault = args.inject_fault == "elite-filter"
     if fault:
         print("verify: injected elite-filter fault (expect failures)", file=sys.stderr)
@@ -427,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo runtime estimation")
     p.add_argument("matrix", help="CSV error matrix")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
     p.add_argument(
         "--binarize-mad",
         action="store_true",
@@ -446,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, help="loss levels (random_uniform)")
     p.add_argument("--clusters", type=int, help="cluster count (clustered)")
     p.add_argument("--spread", type=float, help="within-cluster spread fraction (clustered)")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV} or 0)")
+    p.add_argument("--seed", type=int, help="RNG seed in [0, 2**64) (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_genpop)
 
     p = sub.add_parser("verify", help="run the built-in self checks")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
     p.add_argument(
         "--inject-fault",
         choices=("elite-filter",),

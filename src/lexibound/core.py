@@ -102,7 +102,6 @@ class ErrorMatrix:
 
     losses: np.ndarray
     kind: LossKind = LossKind.DISCRETE
-    case_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.losses, dtype=np.float64)
@@ -123,11 +122,6 @@ class ErrorMatrix:
         arr = arr + 0.0
         arr.flags.writeable = False
         object.__setattr__(self, "losses", arr)
-        if self.case_labels is not None:
-            labels = tuple(self.case_labels)
-            if len(labels) != c:
-                raise MatrixError(f"{len(labels)} case labels for {c} columns")
-            object.__setattr__(self, "case_labels", labels)
 
     @property
     def n_individuals(self) -> int:
@@ -155,7 +149,6 @@ class ErrorMatrix:
             self.kind is other.kind
             and self.losses.shape == other.losses.shape
             and self.losses.tobytes() == other.losses.tobytes()
-            and self.case_labels == other.case_labels
         )
 
     def __repr__(self) -> str:
@@ -243,7 +236,7 @@ def deduplicate(matrix: ErrorMatrix) -> DedupProfile:
             groups.append([i])
         else:
             groups[u].append(i)
-    unique = ErrorMatrix(matrix.losses[order], kind=matrix.kind, case_labels=matrix.case_labels)
+    unique = ErrorMatrix(matrix.losses[order], kind=matrix.kind)
     return DedupProfile(unique=unique, groups=tuple(tuple(g) for g in groups))
 
 
@@ -377,7 +370,8 @@ class RngStream:
 #
 # One matrix per file: an optional first header row (case_0,case_1,...), then
 # one row of decimal numbers per individual. The first row is a header only
-# when none of its cells is a number, so a typo in a data row is an error. A
+# when none of its cells is a number, so a typo in a data row is an error; a
+# header is checked for width and skipped, and its cells are not kept. A
 # sidecar descriptor at <file>.json may declare {"kind": "discrete"|"real"};
 # without it, the kind defaults to discrete when every cell is an integer literal.
 
@@ -416,10 +410,9 @@ def _sidecar_kind(path: Path) -> LossKind | None:
     return LossKind(kind)
 
 
-def _header_labels(row: list[str]) -> tuple[str, ...] | None:
-    """The first row's stripped cells as case labels, if none is a number."""
-    cells = tuple(cell.strip() for cell in row)
-    return None if any(_is_float_literal(cell) for cell in cells) else cells
+def _is_header(row: list[str]) -> bool:
+    """Whether the first row is a header: none of its stripped cells is a number."""
+    return not any(_is_float_literal(cell.strip()) for cell in row)
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -446,15 +439,14 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
     """
     path = Path(path)
     lines = _read_lines(path)
-    parsed = _read_int_body(lines)
-    if parsed is None:
+    losses = _read_int_body(lines)
+    if losses is None:
         return _read_matrix_reference(path, lines)
-    losses, case_labels = parsed
-    return ErrorMatrix(losses, kind=_sidecar_kind(path) or LossKind.DISCRETE, case_labels=case_labels)
+    return ErrorMatrix(losses, kind=_sidecar_kind(path) or LossKind.DISCRETE)
 
 
-def _read_int_body(lines: list[str]) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
-    """The int64 body and header labels of an all-integer file, or None.
+def _read_int_body(lines: list[str]) -> np.ndarray | None:
+    """The int64 body of an all-integer file, or None.
 
     None means the reference reader must decide: a cell that is not a plain
     int64 literal, a blank line inside the body (``loadtxt`` would skip it), a
@@ -465,10 +457,11 @@ def _read_int_body(lines: list[str]) -> tuple[np.ndarray, tuple[str, ...] | None
     try:
         # strict: a quote left open on the first line would continue onto the
         # next lines in the reference reader's first row.
-        case_labels = _header_labels(next(csv.reader(lines[:1], strict=True)))
+        first = next(csv.reader(lines[:1], strict=True))
     except csv.Error:
         return None
-    body = lines if case_labels is None else lines[1:]
+    header = _is_header(first)
+    body = lines[1:] if header else lines
     if not body:
         return None
     try:
@@ -480,13 +473,13 @@ def _read_int_body(lines: list[str]) -> tuple[np.ndarray, tuple[str, ...] | None
             losses = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
-    if losses.shape[0] != len(body) or (case_labels is not None and len(case_labels) != losses.shape[1]):
+    if losses.shape[0] != len(body) or (header and len(first) != losses.shape[1]):
         return None
     # Compared as ints: abs() overflows at the int64 minimum, and a float
     # bound would round 2**53 + 1 down to 2**53.
     if (losses > 2**53).any() or (losses < -(2**53)).any():
         return None
-    return losses, case_labels
+    return losses
 
 
 def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:
@@ -500,9 +493,9 @@ def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:
     if not rows:
         raise MatrixError(f"{path}: empty file")
 
-    case_labels = _header_labels(rows[0])
+    header = rows[0] if _is_header(rows[0]) else None
     start_line = 1
-    if case_labels is not None:
+    if header is not None:
         start_line = 2
         rows = rows[1:]
         if not rows:
@@ -524,8 +517,8 @@ def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:
                 all_int = False
             parsed.append(float(cell))
         data.append(parsed)
-    if case_labels is not None and len(case_labels) != width:
-        raise MatrixError(f"{path}: header has {len(case_labels)} labels for {width} columns")
+    if header is not None and len(header) != width:
+        raise MatrixError(f"{path}: header has {len(header)} labels for {width} columns")
     losses = np.array(data, dtype=np.float64)
     for row, col in np.argwhere(np.abs(losses) >= _MAX_EXACT_INT).tolist():
         cell = rows[row][col].strip()
@@ -539,7 +532,7 @@ def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:
     if kind is None:
         kind = LossKind.DISCRETE if all_int else LossKind.REAL
     try:
-        return ErrorMatrix(losses, kind=kind, case_labels=case_labels)
+        return ErrorMatrix(losses, kind=kind)
     except MatrixError as exc:
         raise MatrixError(f"{path}: {exc}") from exc
 
@@ -547,11 +540,10 @@ def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:
 def write_matrix_csv(matrix: ErrorMatrix, path: str | Path) -> None:
     """Write a matrix in the CSV interchange format (byte-stable output).
 
-    A header of case labels, then one line per row: discrete entries as bare
-    integers, real ones via repr (exact round-trip).
+    A header ``case_0,...,case_{C-1}``, then one line per row: discrete
+    entries as bare integers, real ones via repr (exact round-trip).
     """
-    labels = matrix.case_labels or tuple(f"case_{c}" for c in range(matrix.n_cases))
-    lines = [",".join(labels)]
+    lines = [",".join(f"case_{c}" for c in range(matrix.n_cases))]
     discrete = matrix.kind is LossKind.DISCRETE
     for row in matrix.losses:
         if discrete:

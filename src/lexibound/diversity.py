@@ -48,16 +48,13 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 _BRUTEFORCE_LIMIT = 20
 
-# Cut-offs of the one-hot distance path (2 vCPU, one BLAS thread, numpy 2.4).
+# Cut-off of the one-hot distance path (2 vCPU, one BLAS thread, numpy 2.4).
 # Its cost grows with the number of distinct loss values and the row loop's
 # does not: at 300-616 rows x 100-150 cases it took 0.55-0.71 of the row
-# loop's time at 32 levels, 0.78-0.95 at 48 and 1.03-1.19 at 64. On 5-150
-# cases with 3 levels it took 1.07-1.21 of the loop's time at 4 rows, np.unique
-# included, and 0.62-0.85 at 8 rows. The level cut-off is provisional: no
-# perfbench workload has more than 32 levels, so only these in-process
-# timings measure the row-loop side of it.
+# loop's time at 32 levels, 0.78-0.95 at 48 and 1.03-1.19 at 64. The cut-off
+# is provisional: no perfbench workload has more than 32 levels, so only
+# these in-process timings measure the row-loop side of it.
 _ONEHOT_MAX_LEVELS = 32
-_ONEHOT_MIN_ROWS = 8
 # Agreement counts up to C are exact integers in float32 while C < 2**24.
 _FLOAT32_EXACT = 2**24
 
@@ -81,21 +78,13 @@ def pairwise_distance_matrix(matrix: ErrorMatrix, delta=None) -> np.ndarray:
     """Symmetric N x N table of pairwise phenotypic distances (int32).
 
     With ``delta == 0`` and few distinct loss values, the table is counted
-    by one-hot matrix products; otherwise, and on tiny matrices, by the row
-    loop, which is also the reference the product is tested against.
+    by one-hot matrix products; otherwise by the row loop, which is also the
+    reference the product is tested against.
     """
     delta = _resolve_delta(matrix.kind, delta)
     losses = matrix.losses
     n, c = losses.shape
-    if (
-        delta == 0.0
-        and n >= _ONEHOT_MIN_ROWS
-        and c < _FLOAT32_EXACT
-        # one row's distinct values bound the level count from below: a first
-        # row with too many levels skips the sort of the whole matrix (a set,
-        # as np.unique without return_inverse imports numpy.ma, ~1.4 MB)
-        and len(set(losses[0].tolist())) <= _ONEHOT_MAX_LEVELS
-    ):
+    if delta == 0.0 and c < _FLOAT32_EXACT:
         values, codes = np.unique(losses, return_inverse=True)
         if len(values) <= _ONEHOT_MAX_LEVELS:
             return _onehot_distances(codes.reshape(n, c), len(values))

@@ -91,6 +91,8 @@ class GenSpec:
             n = _as_int(raw["n"], "n")
             c = _as_int(raw["c"], "c")
             seed = _as_int(raw.get("seed", 0), "seed")
+            if not 0 <= seed < 2**64:  # RngStream reads seeds modulo 2**64
+                raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid GenSpec: {exc}") from exc
         params = raw.get("params", {})
@@ -275,7 +277,7 @@ def with_real_jitter(matrix: ErrorMatrix, delta: float, rng: RngStream) -> Error
         [[src.random() * delta / 4 for _ in range(matrix.n_cases)] for _ in range(matrix.n_individuals)]
     )
     jittered = matrix.losses * (2.0 * delta) + jitter
-    return ErrorMatrix(jittered, kind=LossKind.REAL, case_labels=matrix.case_labels)
+    return ErrorMatrix(jittered, kind=LossKind.REAL)
 
 
 def generate(spec: GenSpec) -> ErrorMatrix:

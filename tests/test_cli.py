@@ -62,6 +62,39 @@ class TestGenpop:
     def test_missing_flags_exit_2(self, tmp_path):
         assert run(["genpop", "--kind", "two_cluster", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--kind", "two_cluster"], "--kind"),
+            (["--n", "99"], "--n"),
+            (["--c", "4"], "--c"),
+            (["--levels", "7"], "--levels"),
+            (["--clusters", "2"], "--clusters"),
+            (["--spread", "0.1"], "--spread"),
+            (["--seed", "0"], "--seed"),
+            (["--seed", "5", "--n", "99", "--levels", "7"], "--n"),
+            (["--spread", "0.1", "--n", "99", "--kind", "clustered"], "--kind"),
+        ],
+    )
+    def test_generator_flags_with_spec_exit_2(self, flags, named, tmp_path, capsys):
+        # the spec sets every generator field, so a flag beside it would be ignored
+        out = tmp_path / "x.csv"
+        spec = '{"kind": "random_uniform", "n": 5, "c": 4}'
+        assert run(["genpop", "--spec", spec, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"lexibound: error: {named} cannot be combined with --spec, which sets every generator field\n"
+        )
+        assert not out.exists()
+
+    def test_largest_seed_is_the_same_by_flag_and_spec(self, tmp_path):
+        by_flag, by_spec = tmp_path / "a.csv", tmp_path / "b.csv"
+        seed = str(2**64 - 1)
+        argv = ["genpop", "--kind", "random_uniform", "--n", "6", "--c", "5", "--seed", seed]
+        assert run(argv + ["--out", str(by_flag)]) == 0
+        spec = '{"kind": "random_uniform", "n": 6, "c": 5, "seed": %s}' % seed
+        assert run(["genpop", "--spec", spec, "--out", str(by_spec)]) == 0
+        assert by_flag.read_bytes() == by_spec.read_bytes()
+
 
 class TestGoldenOutput:
     """Pins the exact stdout bytes of the text-producing commands."""
@@ -240,6 +273,27 @@ class TestInputErrors:
     def test_spec_wrong_type_exits_2(self, spec, tmp_path, capsys):
         assert run(["genpop", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
         assert "invalid GenSpec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    @pytest.mark.parametrize("command", ["genpop", "genpop-spec", "simulate", "verify"])
+    def test_seed_outside_64_bits_exits_2(self, command, seed, tmp_path, capsys):
+        # RngStream reads seeds modulo 2**64: -1 would alias 2**64 - 1, and 2**64 + 3 would alias 3
+        (tmp_path / "m.csv").write_text("0,1\n1,0\n")
+        out = tmp_path / "x.csv"
+        spec = '{"kind": "random_uniform", "n": 6, "c": 5, "seed": %d}' % seed
+        argv = {
+            "genpop": ["genpop", "--kind", "random_uniform", "--n", "6", "--c", "5", "--seed", str(seed)],
+            "genpop-spec": ["genpop", "--spec", spec],
+            "simulate": ["simulate", str(tmp_path / "m.csv"), "--trials", "10", "--seed", str(seed)],
+            "verify": ["verify", "--seed", str(seed)],
+        }[command]
+        if command.startswith("genpop"):
+            argv += ["--out", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        name = "invalid GenSpec: seed" if command == "genpop-spec" else "--seed"
+        assert captured.err == f"lexibound: error: {name} must be in [0, 2**64), got {seed}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_spec_directory_exits_2(self, tmp_path, capsys):
         assert run(["genpop", "--spec", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2
@@ -504,16 +558,15 @@ class TestSimulate:
         assert run(["simulate", str(matrix_path), "--trials", "500", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_env_seed_flag_precedence(self, tmp_path, capsys, monkeypatch):
+    def test_seed_defaults_to_0_whatever_the_environment(self, tmp_path, capsys, monkeypatch):
         matrix_path = tmp_path / "r.csv"
         run(["genpop", "--kind", "random_uniform", "--n", "8", "--c", "6", "--seed", "2", "--out", str(matrix_path)])
-        monkeypatch.setenv(cli.SEED_ENV, "4")
+        monkeypatch.setenv("LEXIBOUND_SEED", "4")
         assert run(["simulate", str(matrix_path), "--trials", "200"]) == 0
-        env_payload = json.loads(capsys.readouterr().out)
-        assert env_payload["seed"] == 4
-        assert run(["simulate", str(matrix_path), "--trials", "200", "--seed", "11"]) == 0
-        flag_payload = json.loads(capsys.readouterr().out)
-        assert flag_payload["seed"] == 11
+        default = capsys.readouterr().out
+        assert json.loads(default)["seed"] == 0
+        assert run(["simulate", str(matrix_path), "--trials", "200", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_real_needs_binarize_flag(self, tmp_path, capsys):
         real = tmp_path / "real.csv"
@@ -561,8 +614,8 @@ class TestVerify:
         assert len(statuses) == n_checks and all(s.endswith(": PASS") for s in statuses)
 
     def test_python_dash_m_runs_the_cli(self):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop(cli.SEED_ENV, None)  # the golden file is seed 0, the default
+        # the golden file is seed 0, the default; no environment variable sets a seed
+        env = dict(os.environ, PYTHONPATH=str(SRC), LEXIBOUND_SEED="4")
         done = subprocess.run(
             [sys.executable, "-m", "lexibound", "verify", "--level", "fast"],
             capture_output=True, text=True, env=env, timeout=120,
@@ -583,7 +636,7 @@ class TestUtf8Everywhere:
         matrix = tmp_path / "run" / "gen_0.csv"
         Path(str(matrix) + ".json").write_text('{"kind": "discrete"}\n', encoding="utf-8")
         commands = [
-            ["genpop", "--spec", str(spec), "--out", str(matrix), "--seed", "1"],
+            ["genpop", "--spec", str(spec), "--out", str(matrix)],
             ["analyze", str(matrix), "--out", str(tmp_path / "bounds.csv")],
             ["simulate", str(matrix), "--trials", "100", "--check-bound", "--epsilon", "0.3"],
             ["sweep-run", str(tmp_path / "run")],

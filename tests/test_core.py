@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lexibound import core
@@ -51,10 +52,6 @@ class TestErrorMatrix:
         with pytest.raises(MatrixError):
             dmatrix([[0.5, 1.0]])
         rmatrix([[0.5, 1.0]])  # fine as real
-
-    def test_label_length_validation(self):
-        with pytest.raises(MatrixError):
-            ErrorMatrix(np.zeros((2, 2)), case_labels=("a", "b", "c"))
 
     def test_immutable_after_construction(self):
         m = dmatrix([[0, 1]])
@@ -190,7 +187,7 @@ class TestCsv:
         back = read_matrix_csv(path)
         assert back.kind is LossKind.DISCRETE
         assert np.array_equal(back.losses, m.losses)
-        assert back.case_labels == ("case_0", "case_1", "case_2")
+        assert path.read_text().startswith("case_0,case_1,case_2\n")
 
     def test_round_trip_real_with_descriptor(self, tmp_path):
         m = rmatrix([[0.5, 1.25], [2.0, 3.75]])
@@ -217,9 +214,7 @@ class TestCsv:
     def test_headerless_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1\n1,0\n")
-        back = read_matrix_csv(path)
-        assert back.case_labels is None
-        assert back.losses.tolist() == [[0, 1], [1, 0]]
+        assert read_matrix_csv(path).losses.tolist() == [[0, 1], [1, 0]]
 
     def test_malformed_cell_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -284,9 +279,7 @@ class TestCsv:
     def test_trailing_blank_lines_ignored_crlf(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"case_0,case_1\r\n0,1\r\n1,0\r\n\r\n")
-        back = read_matrix_csv(path)
-        assert back.case_labels == ("case_0", "case_1")
-        assert back.losses.tolist() == [[0, 1], [1, 0]]
+        assert read_matrix_csv(path).losses.tolist() == [[0, 1], [1, 0]]
 
     def test_inner_blank_line_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -321,13 +314,13 @@ class TestCsv:
 
 
 def _outcome(read, path):
-    """What a reader makes of a file: the losses bytes, kind and labels of
-    its matrix, or the message of its MatrixError."""
+    """What a reader makes of a file: the losses bytes and kind of its
+    matrix, or the message of its MatrixError."""
     try:
         m = read(path)
     except MatrixError as exc:
         return "error", str(exc)
-    return m.losses.shape, m.losses.tobytes(), m.kind, m.case_labels
+    return m.losses.shape, m.losses.tobytes(), m.kind
 
 
 def _reference(path):
@@ -360,16 +353,24 @@ INT_CELLS = st.sampled_from([str(i) for i in range(-9, 10)] * 3 + EDGE_CELLS)
 
 
 @st.composite
-def int_files(draw):
+def int_bodies(draw):
+    """Rows of one width, now and then a blank line among them, as
+    (width, lines); and the line break and ending of their file."""
     width = draw(st.integers(1, 4))
     lines = [",".join(row) for row in draw(st.lists(st.lists(INT_CELLS, min_size=width, max_size=width), max_size=6))]
-    header = draw(st.sampled_from([None, "a,b", "case_0", "a,b,c,d", '"a,b",c', '"open']))
-    if header is not None:
-        lines.insert(0, header)
     if lines and draw(st.integers(0, 4)) == 0:
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
     breaks = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"]))
-    return (breaks.join(lines) + draw(st.sampled_from(["", breaks, breaks * 2]))).encode()
+    return width, lines, breaks, draw(st.sampled_from(["", breaks, breaks * 2]))
+
+
+@st.composite
+def int_files(draw):
+    _, lines, breaks, ending = draw(int_bodies())
+    header = draw(st.sampled_from([None, "a,b", "case_0", "a,b,c,d", '"a,b",c', '"open']))
+    if header is not None:
+        lines.insert(0, header)
+    return (breaks.join(lines) + ending).encode()
 
 
 class TestFastReader:
@@ -381,6 +382,20 @@ class TestFastReader:
     def test_matches_reference(self, data, sidecar):
         got, want, _ = _read_both(data, sidecar)
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_bodies(), st.sampled_from([None, "discrete", "real"]))
+    def test_header_row_changes_no_loss_and_no_kind(self, body, sidecar):
+        # only the line numbers in error messages move
+        width, lines, breaks, ending = body
+        assume(not lines or not core._is_header(next(csv.reader(lines[:1]))))
+        header = ",".join(f"case_{c}" for c in range(width))
+
+        def outcomes(rows):
+            both = _read_both((breaks.join(rows) + ending).encode(), sidecar)[:2]
+            return ["error" if outcome[0] == "error" else outcome for outcome in both]
+
+        assert outcomes([header, *lines]) == outcomes(lines)
 
     @pytest.mark.parametrize(
         "data, sidecar, fast",
@@ -439,6 +454,6 @@ class TestFastReader:
         path = tmp_path / "m.csv"
         write_matrix_csv(m, path)
         back = read_matrix_csv(path)
-        assert back.losses.tobytes() == m.losses.tobytes() and back.case_labels == tuple(f"case_{c}" for c in range(12))
+        assert back.losses.tobytes() == m.losses.tobytes()
         path.write_text("0,1\n-2,+3\n\n")
         assert read_matrix_csv(path).losses.tolist() == [[0, 1], [-2, 3]]
