@@ -49,7 +49,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 
 DEFAULT_TRIALS = 10_000
 
-_GEN_FILE = re.compile(r"^gen_(\d+)\.csv$")
+_GEN_FILE = re.compile(r"gen_([0-9]+)\.csv")  # ASCII digits: \d also reads other scripts' digits
 
 
 def _fail(message: str) -> None:
@@ -159,15 +159,17 @@ def cmd_analyze(args) -> int:
 def _scan_run_directory(path: Path) -> list[tuple[int, Path]]:
     if not path.is_dir():
         raise ValueError(f"not a directory: {path}")
-    found = []
-    for entry in path.iterdir():
-        match = _GEN_FILE.match(entry.name)
+    found: dict[int, Path] = {}
+    for entry in sorted(path.iterdir()):
+        match = _GEN_FILE.fullmatch(entry.name)
         if match:
-            found.append((int(match.group(1)), entry))
+            index = int(match.group(1))
+            if index in found:
+                raise ValueError(f"{found[index]} and {entry} are both generation {index}")
+            found[index] = entry
     if not found:
         raise ValueError(f"no gen_<index>.csv files in {path}")
-    found.sort()
-    return found
+    return sorted(found.items())
 
 
 def cmd_sweep_run(args) -> int:
@@ -272,7 +274,7 @@ def cmd_genpop(args) -> int:
             kind=popgen.GenKind(args.kind),
             n=args.n,
             c=args.c,
-            seed=_check_seed(args.seed or 0),
+            seed=None if args.seed is None else _check_seed(args.seed),
             params=params,
         )
     matrix = popgen.generate(spec)
@@ -445,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, help="loss levels (random_uniform)")
     p.add_argument("--clusters", type=int, help="cluster count (clustered)")
     p.add_argument("--spread", type=float, help="within-cluster spread fraction (clustered)")
-    p.add_argument("--seed", type=int, help="RNG seed in [0, 2**64) (default 0)")
+    p.add_argument("--seed", type=int, help="RNG seed in [0, 2**64) for random_uniform and clustered (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_genpop)
 

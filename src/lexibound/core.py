@@ -131,10 +131,6 @@ class ErrorMatrix:
     def n_cases(self) -> int:
         return self.losses.shape[1]
 
-    def row_bytes(self, i: int) -> bytes:
-        """Canonical byte signature of row i (valid dedup key for DISCRETE)."""
-        return self.losses[i].tobytes()
-
     def require_kind(self, kind: LossKind, operation: str) -> None:
         if self.kind is not kind:
             hint = " (binarize real-valued losses first)" if kind is LossKind.DISCRETE else ""
@@ -157,38 +153,30 @@ class ErrorMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DedupProfile:
-    """Unique behavioral rows plus the clone groups behind each row.
+    """Unique behavioral rows plus the row each original individual behaves as.
 
-    ``groups[u]`` lists the original individual indices (ascending) whose loss
-    vector equals row ``u`` of ``unique``. Groups partition the original
-    population.
+    ``unique_index[i]`` is the row of ``unique`` equal to individual ``i``'s
+    loss vector; the individuals sharing a row are its clones. Every row has
+    at least one. The index array is read-only after construction.
     """
 
     unique: ErrorMatrix
-    groups: tuple[tuple[int, ...], ...]
+    unique_index: np.ndarray
 
     def __post_init__(self):
-        if len(self.groups) != self.unique.n_individuals:
-            raise MatrixError(
-                f"{len(self.groups)} groups for {self.unique.n_individuals} unique rows"
-            )
-        groups = tuple(tuple(g) for g in self.groups)
-        seen: set[int] = set()
-        for g in groups:
-            if not g:
-                raise MatrixError("empty clone group")
-            if list(g) != sorted(g):
-                raise MatrixError("clone group indices must be ascending")
-            if seen.intersection(g):
-                raise MatrixError("clone groups overlap")
-            seen.update(g)
-        if seen != set(range(len(seen))):
-            raise MatrixError("clone groups do not partition 0..N-1")
-        if self.unique.kind is LossKind.DISCRETE:
-            signatures = {self.unique.row_bytes(i) for i in range(self.unique.n_individuals)}
-            if len(signatures) != self.unique.n_individuals:
-                raise MatrixError("unique matrix contains duplicate rows")
-        object.__setattr__(self, "groups", groups)
+        index = np.array(self.unique_index)
+        if index.ndim != 1 or not index.size or index.dtype.kind not in "iu":
+            raise MatrixError(f"unique_index must be a non-empty 1-D integer array, got {index.dtype} {index.shape}")
+        n = self.n_unique
+        if index.min() < 0 or index.max() >= n:
+            raise MatrixError(f"unique_index values must be in [0, {n})")
+        index = index.astype(np.intp, copy=False)
+        if not np.bincount(index, minlength=n).all():
+            raise MatrixError("a unique row has no individual")
+        if self.unique.kind is LossKind.DISCRETE and len({row.tobytes() for row in self.unique.losses}) != n:
+            raise MatrixError("unique matrix contains duplicate rows")
+        index.flags.writeable = False
+        object.__setattr__(self, "unique_index", index)
 
     @property
     def n_unique(self) -> int:
@@ -196,48 +184,36 @@ class DedupProfile:
 
     @property
     def n_original(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return len(self.unique_index)
 
     @property
     def n_cases(self) -> int:
         return self.unique.n_cases
 
     def expand_rows(self) -> np.ndarray:
-        """Reconstruct the original N x C loss table from unique rows + groups."""
-        out = np.empty((self.n_original, self.n_cases), dtype=np.float64)
-        for u, group in enumerate(self.groups):
-            for i in group:
-                out[i] = self.unique.losses[u]
-        return out
+        """Reconstruct the original N x C loss table."""
+        return self.unique.losses[self.unique_index]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DedupProfile):
             return NotImplemented
-        return self.unique == other.unique and self.groups == other.groups
+        return self.unique == other.unique and np.array_equal(self.unique_index, other.unique_index)
 
 
 def deduplicate(matrix: ErrorMatrix) -> DedupProfile:
     """Collapse behavioral clones: one row per distinct loss vector.
 
-    Unique rows keep first-occurrence order; each group lists the original
-    indices sharing that behavior, ascending. Rejects REAL matrices: tolerance
-    equality is not transitive, so real losses must be binarized first.
+    Unique rows keep first-occurrence order, and ``unique_index`` maps each
+    original individual to its row. Rejects REAL matrices: tolerance equality
+    is not transitive, so real losses must be binarized first.
     """
     matrix.require_kind(LossKind.DISCRETE, "deduplicate")
-    index_of: dict[bytes, int] = {}
-    order: list[int] = []
-    groups: list[list[int]] = []
-    for i in range(matrix.n_individuals):
-        key = matrix.row_bytes(i)
-        u = index_of.get(key)
-        if u is None:
-            index_of[key] = len(order)
-            order.append(i)
-            groups.append([i])
-        else:
-            groups[u].append(i)
+    # A dict of row bytes: np.unique(axis=0) is several times slower here.
+    first_of: dict[bytes, int] = {}
+    first = [first_of.setdefault(row.tobytes(), i) for i, row in enumerate(matrix.losses)]
+    order = list(first_of.values())  # ascending: row u of unique is row order[u]
     unique = ErrorMatrix(matrix.losses[order], kind=matrix.kind)
-    return DedupProfile(unique=unique, groups=tuple(tuple(g) for g in groups))
+    return DedupProfile(unique=unique, unique_index=np.searchsorted(order, first))
 
 
 def identity_profile(matrix: ErrorMatrix) -> DedupProfile:
@@ -247,8 +223,7 @@ def identity_profile(matrix: ErrorMatrix) -> DedupProfile:
     duplicate-free DISCRETE ones; a DISCRETE matrix with duplicate rows is
     rejected, since that would break the profile's uniqueness invariant.
     """
-    groups = tuple((i,) for i in range(matrix.n_individuals))
-    return DedupProfile(unique=matrix, groups=groups)
+    return DedupProfile(unique=matrix, unique_index=np.arange(matrix.n_individuals))
 
 
 # ---------------------------------------------------------------------------

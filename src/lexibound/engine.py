@@ -3,9 +3,9 @@
 Selection operates on a deduplicated profile: cases are drawn uniformly at
 random without replacement, the candidate pool is filtered to the per-case
 elites (minimum loss within the current pool), and the loop ends when a
-single behavior remains. The winner is then drawn uniformly from that
-behavior's clone group. One evaluation is counted per (pool member, drawn
-case) pair, including the iteration that reduces the pool to one.
+single behavior remains. The winner is drawn uniformly from that behavior's
+clones, the individuals ``unique_index`` maps to it. One evaluation is counted
+per (pool member, drawn case) pair, including the final filter to one.
 
 :func:`run_trials` runs many such selections in lockstep blocks with numpy,
 each bit-identical to :func:`lexicase_select` on its own substream; the
@@ -94,8 +94,8 @@ def lexicase_select(profile: DedupProfile, rng: RngStream) -> SelectionTrace:
         pool_sizes.append(len(pool))
 
     winner_unique = pool[0]
-    group = profile.groups[winner_unique]
-    winner_original = group[0] if len(group) == 1 else group[src.randbelow(len(group))]
+    clones = np.flatnonzero(profile.unique_index == winner_unique).tolist()
+    winner_original = clones[0] if len(clones) == 1 else clones[src.randbelow(len(clones))]
 
     return SelectionTrace(
         winner_unique_index=winner_unique,
@@ -146,21 +146,21 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
         raise ValueError(f"trials must be >= 1, got {trials}")
     profile.unique.require_kind(LossKind.DISCRETE, "lexicase_select")
     by_case = _narrow_losses(profile.unique.losses.T)
-    group_sizes = np.array([len(g) for g in profile.groups])
-    group_starts = np.cumsum(group_sizes) - group_sizes
-    members = np.concatenate(profile.groups)
+    members = np.argsort(profile.unique_index, kind="stable")
+    sizes = np.bincount(profile.unique_index)
+    starts = np.cumsum(sizes) - sizes
     block = max(1, min(_BLOCK_TRIALS, _BLOCK_CELLS // (profile.n_unique + profile.n_cases)))
 
     def blocks() -> Iterator[TrialBlock]:
         for start in range(0, trials, block):
             states = rng.substream_states(start, min(trials, start + block))
             winner, evaluations, steps, case_order, pool_sizes = _select_block(by_case, states)
-            # Clone-group tie breaks draw last, as in lexicase_select.
-            size = group_sizes[winner]
-            winner_original = members[group_starts[winner]]
+            # Clone tie breaks draw last, as in lexicase_select.
+            size = sizes[winner]
+            winner_original = members[starts[winner]]
             tied = np.flatnonzero(size > 1)
             pick = randbelow_array(states[tied], size[tied])
-            winner_original[tied] = members[group_starts[winner[tied]] + pick]
+            winner_original[tied] = members[starts[winner[tied]] + pick]
             yield TrialBlock(winner, winner_original, evaluations, steps, case_order, pool_sizes)
 
     return blocks()

@@ -48,7 +48,7 @@ class GenKind(str, Enum):
     CLUSTERED = "clustered"
 
 
-# The params each kind reads, as name: (type, default).
+# The params each kind reads, as name: (type, default). Only these kinds read a seed.
 _KIND_PARAMS = {
     GenKind.RANDOM_UNIFORM: {"levels": (int, 4)},
     GenKind.CLUSTERED: {"clusters": (int, 2), "spread": (float, 0.05)},
@@ -69,13 +69,14 @@ class GenSpec:
     """Declarative description of a generated population.
 
     ``params`` holds the kind-specific knobs: ``levels`` for random_uniform,
-    ``clusters``/``spread`` for clustered. Serializes to/from JSON.
+    ``clusters``/``spread`` for clustered. Only those two kinds read ``seed``;
+    None, the default, means 0 for them. Serializes to/from JSON.
     """
 
     kind: GenKind
     n: int
     c: int
-    seed: int = 0
+    seed: int | None = None
     params: dict = field(default_factory=dict)
 
     @staticmethod
@@ -90,8 +91,8 @@ class GenSpec:
             kind = GenKind(raw["kind"])
             n = _as_int(raw["n"], "n")
             c = _as_int(raw["c"], "c")
-            seed = _as_int(raw.get("seed", 0), "seed")
-            if not 0 <= seed < 2**64:  # RngStream reads seeds modulo 2**64
+            seed = _as_int(raw["seed"], "seed") if "seed" in raw else None
+            if seed is not None and not 0 <= seed < 2**64:  # RngStream reads seeds modulo 2**64
                 raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid GenSpec: {exc}") from exc
@@ -284,8 +285,10 @@ def generate(spec: GenSpec) -> ErrorMatrix:
     """Build the population described by a GenSpec (deterministic in seed).
 
     Params are converted to the types their kind reads, with defaults for
-    absent ones; a param the kind does not read is an error, not ignored.
+    absent ones; a param or seed the kind does not read is an error, not ignored.
     """
+    if spec.seed is not None and spec.kind not in _KIND_PARAMS:
+        raise ValueError(f"invalid GenSpec: {spec.kind.value} reads no seed")
     known = _KIND_PARAMS.get(spec.kind, {})
     unknown = [key for key in spec.params if key not in known]
     if unknown:
@@ -305,7 +308,7 @@ def generate(spec: GenSpec) -> ErrorMatrix:
     if spec.kind is GenKind.TWO_CLUSTER:
         return gen_two_cluster(spec.n, spec.c)
     if spec.kind is GenKind.RANDOM_UNIFORM:
-        return gen_random_uniform(spec.n, spec.c, params["levels"], RngStream(spec.seed))
+        return gen_random_uniform(spec.n, spec.c, params["levels"], RngStream(spec.seed or 0))
     if spec.kind is GenKind.CLUSTERED:
-        return gen_clustered(spec.n, spec.c, params["clusters"], params["spread"], RngStream(spec.seed))
+        return gen_clustered(spec.n, spec.c, params["clusters"], params["spread"], RngStream(spec.seed or 0))
     raise ValueError(f"unknown generator kind: {spec.kind}")

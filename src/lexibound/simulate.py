@@ -134,10 +134,8 @@ def oracle_distribution(profile: DedupProfile) -> np.ndarray:
         return {i: p / len(elites) for i, p in mass.items()}
 
     prob_unique = wins(tuple(range(n_unique)))
-    out = np.zeros(profile.n_original, dtype=np.float64)
-    for u, group in enumerate(profile.groups):
-        out[list(group)] = float(prob_unique.get(u, 0)) / len(group)
-    return out
+    prob = np.array([float(prob_unique.get(u, 0)) for u in range(n_unique)])
+    return (prob / np.bincount(profile.unique_index))[profile.unique_index]
 
 
 def pool_shrinkage(profile: DedupProfile, floor: int):

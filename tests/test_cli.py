@@ -95,6 +95,33 @@ class TestGenpop:
         assert run(["genpop", "--spec", spec, "--out", str(by_spec)]) == 0
         assert by_flag.read_bytes() == by_spec.read_bytes()
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("form", ["flag", "spec"])
+    @pytest.mark.parametrize("kind", ["adversarial_single_case", "log_binary", "two_cluster"])
+    def test_seed_on_a_seedless_kind_exits_2(self, kind, form, seed, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        if form == "flag":
+            argv = ["genpop", "--kind", kind, "--n", "4", "--c", "5", "--seed", str(seed)]
+        else:
+            argv = ["genpop", "--spec", json.dumps({"kind": kind, "n": 4, "c": 5, "seed": seed})]
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"lexibound: error: invalid GenSpec: {kind} reads no seed\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("kind", ["random_uniform", "clustered"])
+    def test_absent_seed_is_seed_0(self, kind, tmp_path):
+        base = ["genpop", "--kind", kind, "--n", "6", "--c", "12"]
+        outputs = {
+            "no-flag": base,
+            "flag-0": base + ["--seed", "0"],
+            "no-spec-seed": ["genpop", "--spec", json.dumps({"kind": kind, "n": 6, "c": 12})],
+        }
+        for name, argv in outputs.items():
+            assert run(argv + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+        written = {(tmp_path / f"{name}.csv").read_bytes() for name in outputs}
+        assert len(written) == 1
+
 
 class TestGoldenOutput:
     """Pins the exact stdout bytes of the text-producing commands."""
@@ -524,6 +551,22 @@ class TestSweepRun:
 
     def test_empty_directory_exit_2(self, tmp_path):
         assert run(["sweep-run", str(tmp_path)]) == 2
+
+    def test_two_files_for_one_generation_exit_2(self, tmp_path, capsys):
+        for name in ("gen_1.csv", "gen_01.csv"):
+            write_matrix_csv(gen_two_cluster(6, 10), tmp_path / name)
+        assert run(["sweep-run", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        both = f"{tmp_path / 'gen_01.csv'} and {tmp_path / 'gen_1.csv'}"
+        assert captured.err == f"lexibound: error: {both} are both generation 1\n"
+        assert captured.out == ""
+
+    def test_generation_index_is_ascii_digits(self, tmp_path, capsys):
+        # "\u0661" is ARABIC-INDIC DIGIT ONE, which int() and \d read as 1
+        for name in ("gen_0.csv", "gen_\u0661.csv"):
+            write_matrix_csv(gen_two_cluster(6, 10), tmp_path / name)
+        assert run(["sweep-run", str(tmp_path), "--format", "json"]) == 0
+        assert [r["generation"] for r in json.loads(capsys.readouterr().out)] == [0]
 
 
 class TestSimulate:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lexibound import core
 from lexibound.core import (
+    DedupProfile,
     ErrorMatrix,
     ExponentError,
     KindMismatchError,
@@ -68,12 +69,12 @@ class TestDeduplicate:
     def test_exact_duplicate_collapse(self):
         prof = deduplicate(dmatrix([[0, 1], [0, 1], [1, 0]]))
         assert prof.unique.losses.tolist() == [[0, 1], [1, 0]]
-        assert prof.groups == ((0, 1), (2,))
+        assert prof.unique_index.tolist() == [0, 0, 1]
 
     def test_singleton(self):
         prof = deduplicate(dmatrix([[3, 4]]))
         assert prof.n_unique == 1
-        assert prof.groups == ((0,),)
+        assert prof.unique_index.tolist() == [0]
 
     def test_all_distinct_large(self):
         # oracle: pairwise all-pairs equality scan
@@ -84,7 +85,7 @@ class TestDeduplicate:
         assert len(set(rows)) == 1000
         prof = deduplicate(matrix)
         assert prof.n_unique == 1000
-        assert all(len(g) == 1 for g in prof.groups)
+        assert prof.unique_index.tolist() == list(range(1000))
 
     def test_rejects_real_kind(self):
         with pytest.raises(KindMismatchError, match="binarize"):
@@ -93,7 +94,7 @@ class TestDeduplicate:
     def test_first_occurrence_order(self):
         prof = deduplicate(dmatrix([[2, 2], [1, 1], [2, 2], [0, 0]]))
         assert prof.unique.losses.tolist() == [[2, 2], [1, 1], [0, 0]]
-        assert prof.groups == ((0, 2), (1,), (3,))
+        assert prof.unique_index.tolist() == [0, 1, 0, 2]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -107,9 +108,28 @@ class TestDeduplicate:
         prof = deduplicate(dmatrix(rows))
         again = deduplicate(prof.unique)
         assert again.unique == prof.unique
-        assert all(len(g) == 1 for g in again.groups)
-        # expanding groups reproduces the original row multiset, in place
-        assert prof.expand_rows().tolist() == [[float(v) for v in r] for r in rows]
+        assert again.unique_index.tolist() == list(range(prof.n_unique))
+        # expanding reproduces the original rows, in place
+        expanded = prof.expand_rows()
+        assert expanded.tolist() == [[float(v) for v in r] for r in rows]
+        for i, u in enumerate(prof.unique_index):
+            assert (expanded[i] == prof.unique.losses[u]).all()
+
+    @pytest.mark.parametrize(
+        "rows, unique_index",
+        [
+            ([[0, 1], [1, 0]], [0, -1]),
+            ([[0, 1], [1, 0]], [0, 1, 2]),
+            ([[0, 1], [1, 0]], [0.0, 1.0]),
+            ([[0, 1], [1, 0]], np.array([], dtype=np.intp)),
+            ([[0, 1], [1, 0]], [1, 1]),
+            ([[0, 1], [0, 1]], [0, 1]),
+        ],
+        ids=["negative", "beyond-n-unique", "non-integer", "empty", "unused-row", "duplicate-rows"],
+    )
+    def test_constructor_rejects(self, rows, unique_index):
+        with pytest.raises(MatrixError):
+            DedupProfile(dmatrix(rows), np.array(unique_index))
 
     def test_identity_profile_real(self):
         prof = identity_profile(rmatrix([[0.5, 1.0], [0.5, 1.0]]))
