@@ -257,9 +257,17 @@ def cmd_genpop(args) -> int:
         given = [name for name in names if getattr(args, name) is not None]
         if given:
             raise ValueError(f"--{given[0]} cannot be combined with --spec, which sets every generator field")
-        # Not probed with exists(), which raises on an over-long name.
-        text = args.spec if args.spec.lstrip().startswith("{") else Path(args.spec).read_text(encoding="utf-8")
-        spec = popgen.GenSpec.from_json(text)
+        inline = args.spec.lstrip().startswith("{")
+        source = "--spec" if inline else f"--spec {args.spec}"
+        try:
+            # Not probed with exists(), which raises on an over-long name.
+            text = args.spec if inline else Path(args.spec).read_text(encoding="utf-8")
+            spec = popgen.GenSpec.from_json(text)
+        except ValueError as exc:  # UnicodeDecodeError included
+            # an inline spec's field errors already read "invalid GenSpec: <field>"
+            if inline and not isinstance(exc.__cause__, json.JSONDecodeError):
+                raise
+            raise ValueError(f"{source}: {exc}") from exc
     else:
         if args.kind is None or args.n is None or args.c is None:
             raise ValueError("either --spec or all of --kind/--n/--c are required")

@@ -375,6 +375,8 @@ def _sidecar_kind(path: Path) -> LossKind | None:
         return None
     try:
         descriptor = json.loads(sidecar.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MatrixError(f"cannot read {sidecar}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MatrixError(f"{sidecar}: invalid JSON descriptor: {exc}") from exc
     if not isinstance(descriptor, dict):

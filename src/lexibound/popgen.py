@@ -81,7 +81,10 @@ class GenSpec:
 
     @staticmethod
     def from_json(text: str) -> "GenSpec":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid GenSpec: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("GenSpec JSON must be an object")
         unknown = [key for key in raw if key not in _SPEC_KEYS]

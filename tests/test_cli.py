@@ -326,6 +326,21 @@ class TestInputErrors:
         assert run(["genpop", "--spec", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert str(tmp_path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"kind": }', "invalid GenSpec: Expecting value: line 1 column 10 (char 9)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"kind": "two_cluster", "n": 6}', "invalid GenSpec: 'c'"),
+        ],
+    )
+    def test_bad_spec_file_exits_2_naming_flag_and_path(self, content, message, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(content)
+        assert run(["genpop", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lexibound: error: --spec {spec}: {message}") and "Traceback" not in err
+
     def test_missing_spec_path_exits_2_naming_it(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert run(["genpop", "--spec", str(missing), "--out", str(tmp_path / "x.csv")]) == 2
@@ -344,6 +359,14 @@ class TestInputErrors:
         assert run(["simulate", str(path), "--trials", "10"]) == 2
         err = capsys.readouterr().err
         assert "latin.csv" in err and "'utf-8' codec" in err
+
+    def test_non_utf8_sidecar_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n1,0\n")
+        (tmp_path / "m.csv.json").write_bytes(b"\xff{}")
+        assert run(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {path}.json: 'utf-8' codec" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_exits_2(self, delta, tmp_path, capsys):
@@ -417,6 +440,7 @@ class TestInputErrors:
                 ["--spec", '{"kind": "clustered", "n": 6, "c": 50, "params": {"clusters": false}}'],
                 "invalid GenSpec param 'clusters': clusters must be an integer, got False",
             ),
+            (["--spec", '{"kind": }'], "--spec: invalid GenSpec: Expecting value: line 1 column 10 (char 9)"),
         ],
     )
     def test_genpop_bad_param_exits_2(self, argv, message, tmp_path, capsys):

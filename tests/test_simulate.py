@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexibound import simulate
 from lexibound.bounds import sweep
 from lexibound.cli import render
 from lexibound.core import RngStream, deduplicate
@@ -47,13 +49,16 @@ def permutation_replay(rows) -> list[float]:
 
 
 @st.composite
-def populations_with_clones(draw):
-    """At most 6 rows over at most 5 cases and 2-3 loss levels, with clones."""
+def populations_with_clones(draw, unique=(1, 6), max_cases=5):
+    """Between ``unique[0]`` and ``unique[1]`` distinct rows over at most
+    ``max_cases`` cases and 2-3 loss levels, with clones up to ``unique[1]`` rows."""
+    lo, hi = unique
     levels = draw(st.integers(min_value=2, max_value=3))
-    c = draw(st.integers(min_value=1, max_value=5))
+    fewest = next(c for c in itertools.count(1) if levels**c >= lo)  # enough distinct rows exist
+    c = draw(st.integers(min_value=fewest, max_value=max_cases))
     row = st.lists(st.integers(min_value=0, max_value=levels - 1), min_size=c, max_size=c)
-    rows = draw(st.lists(row, min_size=1, max_size=6))
-    rows += draw(st.lists(st.sampled_from(rows), max_size=6 - len(rows)))
+    rows = draw(st.lists(row, min_size=lo, max_size=min(hi, levels**c), unique_by=tuple))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=hi - len(rows)))
     return draw(st.permutations(rows))
 
 
@@ -184,15 +189,21 @@ class TestOracleDistribution:
         assert oracle_distribution(prof).tolist() == [1 / 12] * 12
 
     @settings(max_examples=150, deadline=None)
-    @given(populations_with_clones())
+    @given(st.one_of(populations_with_clones(), populations_with_clones(unique=(13, 16), max_cases=4)))
     def test_matches_permutation_replay(self, rows):
         exact = oracle_distribution(profile(rows))
         assert np.abs(exact - permutation_replay(rows)).max() <= 1e-12
 
-    def test_rejects_oversize_instances(self):
-        wide = profile([[i, i] for i in range(13)])
-        with pytest.raises(ValueError):
-            oracle_distribution(wide)
+    def test_pool_budget_stops_both_readers(self, monkeypatch, dominated_profile):
+        # the dominated triple reaches 4 pools: itself, (0, 2), (1, 2) and (2,)
+        monkeypatch.setattr(simulate, "_POOL_BUDGET", 3)
+        message = "more than 3 reachable pools of 1 or more rows (the pool budget)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_distribution(dominated_profile)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(pool_shrinkage(dominated_profile, 1))
+        monkeypatch.setattr(simulate, "_POOL_BUDGET", 4)
+        assert len(list(pool_shrinkage(dominated_profile, 1))) == 4
 
 
 def reachable_pools(rows) -> set[tuple[int, ...]]:
