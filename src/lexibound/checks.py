@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds, simulate
 from .core import exact_fraction
-from .diversity import far_distance_threshold, similarity_bruteforce
+from .diversity import far_distance_threshold, k_from_diameters, least_subset_diameters
 
 
 def oracle_equivalence(fixtures, trials: int, tolerance: float) -> tuple[bool, str]:
@@ -40,16 +40,14 @@ def definition_equivalence(fixtures) -> tuple[bool, str]:
     """The clique form of ``k`` that ``bounds.sweep`` finds, exactly and
     warm-started, equals its set form at every default grid epsilon.
     Fixtures are ``(name, profile)``. The set form depends on epsilon only
-    through ``far_distance_threshold``, so it is computed once per threshold."""
+    through ``far_distance_threshold``; every threshold's is read from one
+    table of least subset diameters per profile."""
     checked = 0
     grid = bounds.default_epsilon_grid()
     for name, profile in fixtures:
-        set_form: dict[int, int] = {}
+        least = least_subset_diameters(profile)
         for eps, report in zip(grid, bounds.sweep(profile, grid)):
-            threshold = far_distance_threshold(eps, profile.n_cases)
-            if threshold not in set_form:
-                set_form[threshold] = similarity_bruteforce(profile, eps)
-            direct = set_form[threshold]
+            direct = k_from_diameters(least, far_distance_threshold(eps, profile.n_cases))
             if report.k != direct or not report.exact_k:
                 detail = f"set-form k={direct} vs clique-form k={report.k} (exact: {report.exact_k})"
                 return False, f"{detail} at eps={eps} on {name}"

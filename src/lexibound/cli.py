@@ -263,6 +263,7 @@ def cmd_genpop(args) -> int:
             # Not probed with exists(), which raises on an over-long name.
             text = args.spec if inline else Path(args.spec).read_text(encoding="utf-8")
             spec = popgen.GenSpec.from_json(text)
+            matrix = popgen.generate(spec)
         except ValueError as exc:  # UnicodeDecodeError included
             # an inline spec's field errors already read "invalid GenSpec: <field>"
             if inline and not isinstance(exc.__cause__, json.JSONDecodeError):
@@ -285,7 +286,7 @@ def cmd_genpop(args) -> int:
             seed=None if args.seed is None else _check_seed(args.seed),
             params=params,
         )
-    matrix = popgen.generate(spec)
+        matrix = popgen.generate(spec)
     write_matrix_csv(matrix, args.out)
     print(
         f"# wrote {matrix.n_individuals}x{matrix.n_cases} {spec.kind.value} matrix to {args.out}",

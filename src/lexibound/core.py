@@ -274,7 +274,10 @@ def randbelow_array(states: np.ndarray, bound) -> np.ndarray:
         states[redo] += _GOLDEN_U64
         draws[redo] = _mix64_array(states[redo])
         redo = redo[draws[redo] > (top if top.ndim == 0 else top[redo])]
-    draws %= bound
+    # x - x // n * n is x % n; numpy's floor division by one scalar divisor
+    # takes a fast path that its remainder lacks (2.4 against 15 us on 4,096
+    # uint64 draws, numpy 2.4).
+    draws -= draws // bound * bound
     return draws.astype(np.intp)
 
 

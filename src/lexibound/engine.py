@@ -14,6 +14,9 @@ loss ranks, masking a pool's non-members by OR-ing in an all-ones value.
 While a block's trials share few distinct pools, it filters each distinct
 (pool, case) pair once and hands the result to every trial that drew it;
 either way each trial's pool is the same, so this never changes a result.
+A finished trial's winner is read from its pool's mask, and its working row
+then writes to a sink row of the outputs until half the rows have finished
+and the working arrays are compacted.
 
 Also houses the static-epsilon binarization variant.
 """
@@ -39,10 +42,11 @@ __all__ = [
 
 # run_trials works in blocks of at most this many trials and trial x (unique row
 # + case) cells; the cells bound its working set (int32 per case, 1-8 byte codes
-# and masks per row). 3,000 trials on 400 unique rows x 100 cases (2 vCPU, best
-# of 10): 24 ms at 2^19 cells, 30 at 2^18, 45 at 2^17, 24 at 2^20. verify's 7
-# oracle profiles x 20,000 trials (best of 30): 48 ms at 2,048 trials, 39 at
-# 4,096, 39 at 8,192; its peak RSS grows by about 0.4 MB at 4,096, 1.5 at 8,192.
+# and masks per row). 3,000 trials on perfbench's simulate_converged profile,
+# 400 unique rows x 100 cases (2 vCPU, best of 10): 21 ms at 2^19 cells, 25 at
+# 2^18, 38-46 at 2^17, 19 at 2^20. verify's 7 oracle profiles x 20,000 trials
+# (best of 30): 28 ms at 2,048 trials, 22 at 4,096, 21 at 8,192; the process's
+# peak RSS grows by 1.4 MB at 2,048, 1.5 at 4,096 and 2.8 at 8,192.
 _BLOCK_TRIALS = 4096
 _BLOCK_CELLS = 1 << 19
 
@@ -179,38 +183,47 @@ def _select_block(by_case: np.ndarray, states: np.ndarray):
     """Filter one block of pools down to their winners, in lockstep.
 
     ``by_case`` is the unique loss matrix transposed (C x N) as rank codes
-    (see ``_narrow_losses``). ``states`` holds the trials' stream states and is
-    advanced past every draw made. Working arrays hold only the trials
-    still running: their rows in the block, states, undrawn cases
-    (swap-removed as in lexicase_select) and pool ids. A pool id is a row of
-    ``masks``, which marks the rows filtered out of that pool. While the
-    (pool id, case) pairs are no more than the live trials, each distinct
-    pair is filtered once and its trials share the result; after that,
-    ``pid`` is None and ``masks`` holds one row per live trial.
+    (see ``_narrow_losses``). ``states`` holds the trials' stream states; each
+    is left at its state after its trial's last case draw. Working arrays hold
+    one row per trial not yet compacted away: its row in the block, state,
+    undrawn cases (swap-removed as in lexicase_select) and pool id. A pool id
+    is a row of ``masks``, which marks the rows filtered out of that pool.
+    While the (pool id, case) pairs are no more than the working rows, each
+    distinct pair is filtered once and its trials share the result; after
+    that, ``pid`` is None and ``masks`` holds one row per working row.
+
+    When a trial's pool reaches one row, its winner is the pool's only zero
+    in ``masks`` (found once per distinct pool while pool ids are shared) and
+    its state is saved; its working row then points at ``sink``, one extra
+    trial row of the outputs, so the draws and filters it still takes part
+    in write nowhere. Once half the working rows have finished, the working
+    arrays are compacted to the running ones. Outputs are stored step-major
+    (one contiguous row per step) and returned transposed; steps and
+    evaluations are read from the pool sizes at the end, since a trace's
+    sizes exceed 1 until its last entry, which is 1.
     """
     n_cases, n_unique = by_case.shape
     count = len(states)
+    sink = count
     winner = np.zeros(count, dtype=np.intp)
-    evaluations = np.zeros(count, dtype=np.int64)
-    steps = np.zeros(count, dtype=np.intp)
-    case_order = np.full((count, n_cases), -1, dtype=np.int32)
-    pool_sizes = np.ones((count, n_cases + 1), dtype=np.int32)
-    pool_sizes[:, 0] = n_unique
+    case_order = np.full((n_cases, count + 1), -1, dtype=np.int32)
+    pool_sizes = np.ones((n_cases + 1, count + 1), dtype=np.int32)
+    pool_sizes[0] = n_unique
 
     live = np.arange(count if n_unique > 1 else 0)
-    rows = np.arange(live.size)
     live_states = states[live]
     remaining = np.tile(np.arange(n_cases, dtype=np.int32), (live.size, 1))
+    base = np.arange(0, live.size * n_cases, n_cases)
     masks = np.zeros((1, n_unique), dtype=by_case.dtype)
     pid = np.zeros(live.size, dtype=np.intp)
-    size = np.full(live.size, n_unique, dtype=np.int32)
+    finished = 0
     t = 0
     while live.size:
         left = n_cases - t
-        j = randbelow_array(live_states, left)
-        case = remaining[rows, j]
-        remaining[rows, j] = remaining[:, left - 1]
-        evaluations[live] += size
+        cell = base + randbelow_array(live_states, left)  # flat index into remaining
+        flat = remaining.reshape(-1)
+        case = flat[cell]
+        flat[cell] = remaining[:, left - 1]
         if pid is not None and len(masks) * n_cases <= live.size:
             pair_pid, pair_case, pid = _distinct_pairs(pid, case, n_cases)
             masks, pair_size = _elite_filter(by_case, masks[pair_pid], pair_case)
@@ -218,27 +231,35 @@ def _select_block(by_case: np.ndarray, states: np.ndarray):
         else:
             masks, size = _elite_filter(by_case, masks if pid is None else masks[pid], case)
             pid = None
-        case_order[live, t] = case
-        pool_sizes[live, t + 1] = size
+        case_order[t, live] = case
+        pool_sizes[t + 1, live] = size
         t += 1
 
-        done = size == 1
-        if done.any():
-            winner[live[done]] = (masks[done] if pid is None else masks[pid[done]]).argmin(axis=1)
-            states[live[done]] = live_states[done]
-            steps[live[done]] = t
-            going = ~done
-            live, live_states, size = live[going], live_states[going], size[going]
+        done = np.flatnonzero(size == 1)  # a finished row's pool stays at one
+        if done.size > finished:
+            done = done[live[done] != sink]
+            trial = live[done]
             if pid is None:
-                masks = masks[going]
+                winner[trial] = (masks[done] == 0).argmax(axis=1)
             else:
-                pid = pid[going]
-            remaining = remaining[going, : left - 1]
-            rows = np.arange(live.size)
-        else:
-            remaining = remaining[:, : left - 1]
+                winner[trial] = (masks == 0).argmax(axis=1)[pid[done]]
+            states[trial] = live_states[done]
+            live[done] = sink
+            finished += done.size
+            if 2 * finished >= live.size:
+                keep = np.flatnonzero(live != sink)
+                live, live_states, remaining = live[keep], live_states[keep], remaining[keep]
+                if pid is None:
+                    masks = masks[keep]
+                else:
+                    pid = pid[keep]
+                base = base[: keep.size]
+                finished = 0
 
-    return winner, evaluations, steps, case_order[:, :t], pool_sizes[:, : t + 1]
+    pool_sizes = pool_sizes[: t + 1, :count]
+    steps = np.count_nonzero(pool_sizes > 1, axis=0)
+    evaluations = pool_sizes.sum(axis=0, dtype=np.int64) - (t + 1 - steps)
+    return winner, evaluations, steps, case_order[:t, :count].T, pool_sizes.T
 
 
 def _distinct_pairs(pid: np.ndarray, case: np.ndarray, n_cases: int):

@@ -11,7 +11,7 @@ import pytest
 from lexibound import bounds, checks
 from lexibound.bounds import sweep
 from lexibound.core import RngStream, deduplicate
-from lexibound.diversity import clique_number, similarity_bruteforce
+from lexibound.diversity import clique_number, k_from_diameters, least_subset_diameters
 from lexibound.popgen import gen_adversarial_single_case, gen_clustered
 from lexibound.simulate import estimate_runtime, pool_shrinkage
 
@@ -47,23 +47,28 @@ class TestOracleEquivalence:
 
 
 class TestDefinitionEquivalence:
-    def test_set_form_runs_once_per_threshold(self, two_triangles, monkeypatch):
+    def test_set_form_table_built_once_per_profile(self, two_triangles, monkeypatch):
         # C = 10, so the 12 grid epsilons 0.05..0.60 map to t = 1, 1, 2, 2, ..., 6, 6
-        calls = []
+        built, read = [], []
 
-        def counted(prof, eps):
-            calls.append(eps)
-            return similarity_bruteforce(prof, eps)
+        def counted_table(prof):
+            built.append(prof)
+            return least_subset_diameters(prof)
 
-        monkeypatch.setattr(checks, "similarity_bruteforce", counted)
-        assert checks.definition_equivalence([("two-triangles", two_triangles)]) == (
-            True, "12 (profile, epsilon) points agree"
-        )
-        assert [str(eps) for eps in calls] == ["1/20", "3/20", "1/4", "7/20", "9/20", "11/20"]
+        def counted_reader(least, threshold):
+            read.append(threshold)
+            return k_from_diameters(least, threshold)
+
+        monkeypatch.setattr(checks, "least_subset_diameters", counted_table)
+        monkeypatch.setattr(checks, "k_from_diameters", counted_reader)
+        fixtures = [("two-triangles", two_triangles), ("pair", profile([[0, 1], [1, 0]]))]
+        assert checks.definition_equivalence(fixtures) == (True, "24 (profile, epsilon) points agree")
+        assert [id(prof) for prof in built] == [id(two_triangles), id(fixtures[1][1])]
+        assert read[:12] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
 
     def test_disagreeing_set_form_fails(self, two_triangles, monkeypatch):
-        off_by_one = lambda prof, eps: similarity_bruteforce(prof, eps) + 1  # noqa: E731
-        monkeypatch.setattr(checks, "similarity_bruteforce", off_by_one)
+        off_by_one = lambda least, threshold: k_from_diameters(least, threshold) + 1  # noqa: E731
+        monkeypatch.setattr(checks, "k_from_diameters", off_by_one)
         ok, detail = checks.definition_equivalence([("two-triangles", two_triangles)])
         assert not ok
         assert detail.endswith("at eps=1/20 on two-triangles")

@@ -122,6 +122,29 @@ class TestGenpop:
         written = {(tmp_path / f"{name}.csv").read_bytes() for name in outputs}
         assert len(written) == 1
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"kind": "random_uniform", "n": 4, "c": 4, "params": {"levls": 3}},
+                "invalid GenSpec: random_uniform reads no param 'levls' (params: levels)",
+            ),
+            (
+                {"kind": "clustered", "n": 3, "c": 4, "params": {"clusters": 5}},
+                "n must be >= clusters, got n=3, clusters=5",
+            ),
+        ],
+    )
+    def test_spec_file_the_generator_rejects_exits_2_naming_it(self, spec, message, tmp_path, capsys):
+        path, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(spec))
+        assert run(["genpop", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"lexibound: error: --spec {path}: {message}\n"
+        assert not out.exists()
+        # the same spec inline keeps the generator's own message
+        assert run(["genpop", "--spec", json.dumps(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"lexibound: error: {message}\n"
+
 
 class TestGoldenOutput:
     """Pins the exact stdout bytes of the text-producing commands."""

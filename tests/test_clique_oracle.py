@@ -1,12 +1,23 @@
-"""clique_number against an independent exact oracle on 20-150-vertex graphs,
-beyond the reach of the subset oracle in test_diversity.py."""
+"""Both exact forms of k against an independent exact oracle: clique_number
+on 20-150-vertex graphs, beyond the reach of the subset oracle, and the
+subset oracle's table of least subset diameters on up to 12 unique rows."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexibound.diversity import SimilarityGraph, clique_number
+from lexibound.core import deduplicate
+from lexibound.diversity import (
+    SimilarityGraph,
+    clique_number,
+    graph_from_distances,
+    k_from_diameters,
+    least_subset_diameters,
+    pairwise_distance_matrix,
+)
+
+from conftest import dmatrix
 
 nx = pytest.importorskip("networkx")
 
@@ -45,3 +56,15 @@ def test_clique_number_matches_networkx(adjacency, small_budget):
     small = clique_number(graph, node_budget=small_budget)
     assert small.alpha_lower <= truth <= small.alpha_upper
     assert not small.exact or small.alpha_lower == small.alpha_upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 10), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_subset_diameters_match_networkx(n, c, levels, seed):
+    prof = deduplicate(dmatrix(np.random.default_rng(seed).integers(0, levels, (n, c))))
+    least = least_subset_diameters(prof)
+    distances = pairwise_distance_matrix(prof.unique)
+    # thresholds 1..C give every graph an epsilon can; C + 1 joins every pair
+    for threshold in range(1, c + 2):
+        graph = graph_from_distances(distances, threshold)
+        assert k_from_diameters(least, threshold) == 1 + oracle_alpha(graph.adjacency), threshold

@@ -173,6 +173,20 @@ def profiles_with_clones(draw):
     return deduplicate(dmatrix([expanded[i] for i in order]))
 
 
+def fast_and_slow_profile():
+    """17 individuals, 12 unique rows over 12 cases. Case 0 and specialist
+    cases 1-6 each leave one row; cases 7-10 leave a pair that most cases
+    split; case 11 leaves four rows that cases 1 and 2 thin out and only
+    case 0 brings down to one."""
+    rows = [[i, 2 + (i == 3), 2 + (i == 2)] + [2] * 4 + [1] * 4 + [0] for i in range(4)]
+    rows += [[0 if case == j else 3 for case in range(12)] for j in range(1, 7)]
+    rows += [[v] * 7 + [0] * 4 + [v] for v in (1, 2)]
+    copies = [3, 1, 2, 1, 1, 2, 1, 1, 1, 1, 2, 1]
+    expanded = [row for row, k in zip(rows, copies) for _ in range(k)]
+    order = np.random.default_rng(5).permutation(len(expanded))
+    return profile([expanded[i] for i in order])
+
+
 class TestRunTrials:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -246,6 +260,28 @@ class TestRunTrials:
         baseline = runner_traces(prof, 300, RngStream(1))
         for block_trials in (1, 17, 299, 300, 301):
             assert runner_traces(prof, 300, RngStream(1), block_trials=block_trials) == baseline
+
+    @pytest.mark.parametrize("block_trials", [10, 500])
+    def test_trials_of_one_block_finish_far_apart(self, block_trials):
+        # Most trials finish at step 1 or 2 and a few run to step 8 or later,
+        # so the working arrays are compacted several times within the block:
+        # at steps 2, 4, 6 and 8 in a block of 10, which holds fewer trials
+        # than cases and so filters per trial from step 1; at steps 1 and 2
+        # with shared pools, then four times per trial, in a block of 500.
+        prof = fast_and_slow_profile()
+        rng = RngStream(3)
+        expected = scalar_traces(prof, block_trials, rng)
+        assert runner_traces(prof, block_trials, rng, block_trials) == expected
+        steps = [len(trace.case_order) for trace in expected]
+        assert min(steps) == 1 and 2 * (steps.count(1) + steps.count(2)) > block_trials and max(steps) >= 8
+        # each trial's state after its case draws, which the clone tie-break reads
+        states = rng.substream_states(0, block_trials)
+        engine._select_block(engine._narrow_losses(prof.unique.losses.T), states)
+        for i, (state, trace) in enumerate(zip(states.tolist(), expected)):
+            src = rng.substream(i).source()
+            for step in range(len(trace.case_order)):
+                src.randbelow(prof.n_cases - step)
+            assert state == src._state
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
