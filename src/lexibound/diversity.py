@@ -12,6 +12,10 @@ every epsilon, including non-integer eps * C.
 
 This module holds the layers: the distance table, its thresholded graph and
 the clique search. ``bounds.sweep`` is the one path from a profile to k.
+The search closes a branch in one step when the colouring of its candidates
+gives each vertex its own colour: the candidates are then a clique, whose
+dive would expand one node per vertex and prune every sibling on the way
+back, so the node counts and every result stay those of the full dive.
 The set form is the test oracle: ``least_subset_diameters`` tabulates, per
 subset size s, the least largest distance inside any s-row subset, by one
 pass over all 2^N subsets in O(2^N * N); k at threshold t is then one more
@@ -19,8 +23,9 @@ than the largest s whose entry is below t (``k_from_diameters``), so one
 table answers every epsilon. ``similarity_bruteforce`` reads it for one.
 
 The distance table of discrete losses with few distinct values is a sum of
-one-hot matrix products (BLAS); the row loop stays for the other cases and
-as the reference the products are tested against.
+one-hot matrix products (BLAS) over the losses' rank codes
+(``core.rank_codes``); the row loop stays for the other cases and as the
+reference the products are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DedupProfile, ErrorMatrix, LossKind, exact_fraction
+from .core import DedupProfile, ErrorMatrix, LossKind, exact_fraction, rank_codes
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -83,16 +88,16 @@ def pairwise_distance_matrix(matrix: ErrorMatrix, delta=None) -> np.ndarray:
     """Symmetric N x N table of pairwise phenotypic distances (int32).
 
     With ``delta == 0`` and few distinct loss values, the table is counted
-    by one-hot matrix products; otherwise by the row loop, which is also the
-    reference the product is tested against.
+    by one-hot matrix products over the rank codes of ``core.rank_codes``
+    (shared with the selection runner); otherwise by the row loop, which is
+    also the reference the product is tested against.
     """
     delta = _resolve_delta(matrix.kind, delta)
     losses = matrix.losses
-    n, c = losses.shape
-    if delta == 0.0 and c < _FLOAT32_EXACT:
-        values, codes = np.unique(losses, return_inverse=True)
+    if delta == 0.0 and losses.shape[1] < _FLOAT32_EXACT:
+        values, codes = rank_codes(losses)
         if len(values) <= _ONEHOT_MAX_LEVELS:
-            return _onehot_distances(codes.reshape(n, c), len(values))
+            return _onehot_distances(codes, len(values))
     return _row_loop_distances(losses, delta)
 
 
@@ -183,7 +188,17 @@ def graph_from_distances(distances: np.ndarray, threshold: int) -> SimilarityGra
 # Exact maximum clique: branch and bound on bitsets with greedy-coloring
 # pruning from the highest-degree vertex down, started from a known clique.
 # When the greedy clique meets the root coloring bound, as on a disjoint
-# union of cliques, the answer is exact with no search.
+# union of cliques, the answer is exact with no search. A candidate set
+# whose coloring uses one color per vertex is a clique of m vertices and is
+# closed in one step: its dive would expand exactly m nodes, each with one
+# candidate fewer, end at size + 1 + m and then prune every sibling, since
+# no remaining color can beat that. That clique always beats the best one:
+# the vertex v just taken has color c because it has a neighbor in each of
+# colors 1..c-1, all still candidates, so m >= c - 1 and size + 1 + m >=
+# size + c, which exceeds the best clique or v would have been pruned. So
+# the step adds m nodes and raises the best clique to size + 1 + m, or
+# stops where the dive would have run out of budget; node counts and
+# brackets are those of the full dive, at every budget.
 # ---------------------------------------------------------------------------
 
 
@@ -232,7 +247,15 @@ def _search(
 ) -> tuple[int, int, bool]:
     """Depth-first branch and bound from the root's color-sorted vertices and a
     known clique of size ``best``, on an explicit stack of frames that try
-    vertices from the highest color down; returns (best, nodes, exhausted)."""
+    vertices from the highest color down; returns (best, nodes, exhausted).
+
+    A branch whose candidates take one color each is closed in one step (see
+    the comment above): its m candidates form a clique that beats ``best``,
+    so the dive into them would count m nodes, end at ``size + 1 + m`` and
+    prune all its siblings. The step counts those m nodes, and when they
+    overrun the budget it returns ``(best, budget + 1, True)``, where the
+    dive stops, so node counts and results are unchanged.
+    """
     stack = []
     size, idx, live = 0, len(order), (1 << len(order)) - 1
     nodes = 0
@@ -249,12 +272,19 @@ def _search(
             return best, nodes, True
         rest = live & adj[v]
         live ^= 1 << v
+        m = 0
         if rest:
-            stack.append((size, order, colors, idx, live))
-            order, colors = _color_sort(rest, adj)
-            size, idx, live = size + 1, len(order), rest
-        elif size + 1 > best:
-            best = size + 1
+            sub_order, sub_colors = _color_sort(rest, adj)
+            m = len(sub_order)
+            if sub_colors[-1] < m:
+                stack.append((size, order, colors, idx, live))
+                order, colors, size, idx, live = sub_order, sub_colors, size + 1, m, rest
+                continue
+        # rest is a clique of m vertices, larger than best: close the branch.
+        nodes += m
+        if nodes > budget:
+            return best, budget + 1, True
+        best = size + 1 + m
 
 
 def clique_number(
@@ -281,7 +311,8 @@ def clique_number(
         raise ValueError(f"lower_bound must be in [1, {max(n, 1)}], got {lower_bound}")
     if n == 0:
         return SimilarityResult(alpha_lower=1, alpha_upper=1, exact=True, search_nodes=0)
-    order = np.argsort(-graph.adjacency.sum(axis=1), kind="stable")
+    degree = np.add.reduce(graph.adjacency.view(np.uint8), axis=1, dtype=np.int32)
+    order = np.argsort(-degree, kind="stable")
     adj = _bitsets(graph.adjacency.take(order, axis=0).take(order, axis=1))
     root_order, root_colors = _color_sort((1 << n) - 1, adj)
     upper = max(root_colors)

@@ -477,3 +477,61 @@ class TestFastReader:
         assert back.losses.tobytes() == m.losses.tobytes()
         path.write_text("0,1\n-2,+3\n\n")
         assert read_matrix_csv(path).losses.tolist() == [[0, 1], [-2, 3]]
+
+
+def _unique_codes(values):
+    levels, inverse = np.unique(values, return_inverse=True)
+    return levels, inverse.reshape(values.shape)
+
+
+@st.composite
+def rank_inputs(draw):
+    """Float arrays of integers from a base, whose span falls on either side
+    of their size, mixed with non-integers and the float64 integer limits;
+    half of them transposed views, as the selection runner passes."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    base = draw(st.sampled_from([0.0, -40.0, 1e15, 2.0**53 - 8, -(2.0**53)]))
+    offset = st.integers(0, draw(st.integers(0, rows * cols + 1))).map(lambda k: base + k)
+    special = st.sampled_from([2.0**53, -(2.0**53), 0.5, -1.5, -0.0, 1e-30, 1e300])
+    cell = offset | special if draw(st.booleans()) else offset
+    values = np.array(draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    return values.T if draw(st.booleans()) else values
+
+
+class TestRankCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_inputs())
+    def test_equals_unique_with_inverse(self, values):
+        levels, codes = core.rank_codes(values)
+        expected_levels, expected_codes = _unique_codes(values)
+        assert levels.dtype == expected_levels.dtype and np.array_equal(levels, expected_levels)
+        assert codes.shape == values.shape and np.array_equal(codes, expected_codes)
+
+    @pytest.mark.parametrize(
+        "values, sorts",
+        [
+            ([0, 1, 2, 3, 4, 0], 0),  # span 5, one less than the size
+            ([0, 1, 2, 3, 4, 5], 1),  # span 6, the size
+            ([-3, -1, -3, -2, 0, 0], 0),
+            ([2.0**53, 2.0**53 - 1, 2.0**53, 2.0**53 - 2], 0),
+            ([-(2.0**53), -(2.0**53) + 2, -(2.0**53) + 1, -(2.0**53)], 0),
+            ([0.5, 1.5, 0.5, 1.5], 1),
+            # 1e-30 + 1 rounds to 1: only the values themselves show it is no integer
+            ([-1.0, 1e-30, 0.0, -1.0, 0.0], 1),
+            ([7.0], 1),
+        ],
+    )
+    def test_small_integer_spans_are_ranked_without_a_sort(self, values, sorts, monkeypatch):
+        values = np.array(values, dtype=np.float64)
+        expected = _unique_codes(values)
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        levels, codes = core.rank_codes(values)
+        assert len(calls) == sorts
+        assert np.array_equal(levels, expected[0]) and np.array_equal(codes, expected[1])

@@ -18,7 +18,7 @@ from lexibound.diversity import (
 )
 from lexibound import bounds, diversity
 from lexibound.bounds import default_epsilon_grid, sweep
-from lexibound.popgen import gen_clustered
+from lexibound.popgen import gen_clustered, gen_random_uniform
 from conftest import dmatrix, profile, random_rows, rmatrix
 
 
@@ -535,3 +535,106 @@ class TestCovarianceMean:
     def test_single_individual(self):
         # 1x1 covariance matrix holding the row's variance
         assert covariance_mean(dmatrix([[0, 1, 2]])) == pytest.approx(1.0)
+
+
+def _reference_search(adj, order, colors, best, budget):
+    """The clique search loop that dives into every branch one vertex at a
+    time, re-colouring its candidates at each level: the reference for the
+    closed branches of ``diversity._search``."""
+    stack = []
+    size, idx, live = 0, len(order), (1 << len(order)) - 1
+    nodes = 0
+    while True:
+        if idx == 0 or size + colors[idx - 1] <= best:
+            if not stack:
+                return best, nodes, False
+            size, order, colors, idx, live = stack.pop()
+            continue
+        idx -= 1
+        v = order[idx]
+        nodes += 1
+        if nodes > budget:
+            return best, nodes, True
+        rest = live & adj[v]
+        live ^= 1 << v
+        if rest:
+            stack.append((size, order, colors, idx, live))
+            order, colors = diversity._color_sort(rest, adj)
+            size, idx, live = size + 1, len(order), rest
+        elif size + 1 > best:
+            best = size + 1
+
+
+def _closing_graphs():
+    """G(n, p), planted clusters and near-cliques on up to 60 vertices, each
+    needing a search of up to about 70 nodes past its greedy start."""
+    rng = np.random.default_rng(24)
+    gnp = [(30, 0.5), (30, 0.7), (40, 0.6), (40, 0.8), (50, 0.5), (60, 0.3), (60, 0.5), (24, 0.9), (36, 0.85)]
+    planted = [(45, 3, 0.6), (60, 3, 0.8), (50, 2, 0.85)]
+    near = [(30, 0.15), (40, 0.2), (60, 0.1), (50, 0.25)]
+    for n, p in gnp:
+        yield np.triu(rng.random((n, n)) < p, 1)
+    for n, clusters, p in planted:
+        label = rng.integers(0, clusters, n)
+        yield np.triu(rng.random((n, n)) < p, 1) & np.equal.outer(label, label)
+    for n, missing in near:
+        yield np.triu(rng.random((n, n)) >= missing, 1)
+
+
+class TestClosedBranches:
+    """A branch whose candidates are a clique is closed in one step; every
+    result, node counts included, is the dive's at every budget."""
+
+    def test_every_budget_matches_the_reference_search(self, monkeypatch):
+        color_sort = diversity._color_sort
+        sorts = {"reference": 0, "closed": 0}
+        for upper in _closing_graphs():
+            graph = _graph(upper | upper.T)
+            results = {}
+            for name, search in (("reference", _reference_search), ("closed", diversity._search)):
+
+                def counting(*args, name=name):
+                    sorts[name] += 1
+                    return color_sort(*args)
+
+                monkeypatch.setattr(diversity, "_search", search)
+                monkeypatch.setattr(diversity, "_color_sort", counting)
+                full = clique_number(graph)
+                results[name] = [
+                    clique_number(graph, budget, lower_bound=start)
+                    for start in sorted({1, max(1, full.alpha_lower - 1)})
+                    for budget in range(1, full.search_nodes + 2)
+                ]
+                monkeypatch.undo()
+            assert results["closed"] == results["reference"]
+        # branches of two or more vertices were closed, and each budget
+        # inside one of them ran out at the closing step
+        assert sorts["closed"] < sorts["reference"]
+
+    # Nodes of each clique search in a sweep, recorded before branches were
+    # closed in one step: clustered populations, whose first dives run down
+    # cliques of up to 48 vertices, and small dense random ones. Budget 40
+    # leaves some searches inexact.
+    @pytest.mark.parametrize(
+        "generator, args, seed, budget, nodes",
+        [
+            (gen_clustered, (150, 80, 3, 0.1), 1, diversity.DEFAULT_NODE_BUDGET, [8, 19, 31, 48, 0, 0]),
+            (gen_clustered, (150, 80, 3, 0.1), 1, 40, [8, 19, 31, 41, 0, 0]),
+            (gen_clustered, (240, 100, 4, 0.1), 2, 40, [0, 0, 41, 41, 0]),
+            (gen_random_uniform, (40, 12, 2), 3, diversity.DEFAULT_NODE_BUDGET, [0, 0, 0, 0, 6, 12, 23, 37]),
+            (gen_random_uniform, (60, 16, 2), 4, diversity.DEFAULT_NODE_BUDGET, [0, 0, 0, 0, 0, 6, 20, 31, 76, 171]),
+            (gen_random_uniform, (60, 16, 2), 4, 40, [0, 0, 0, 0, 0, 6, 20, 31, 41, 41]),
+        ],
+    )
+    def test_search_nodes_per_sweep_are_pinned(self, generator, args, seed, budget, nodes, monkeypatch):
+        calls = []
+        search = bounds.clique_number
+
+        def recording(graph, node_budget, *, lower_bound):
+            result = search(graph, node_budget, lower_bound=lower_bound)
+            calls.append(result.search_nodes)
+            return result
+
+        monkeypatch.setattr(bounds, "clique_number", recording)
+        sweep(deduplicate(generator(*args, RngStream(seed))), node_budget=budget)
+        assert calls == nodes

@@ -283,6 +283,26 @@ class TestRunTrials:
                 src.randbelow(prof.n_cases - step)
             assert state == src._state
 
+    def test_pools_that_beat_more_than_255_rows(self):
+        # 400 unique rows over 30 binary cases, each row elite on a case with
+        # probability 0.1: a first filter beats about 360 rows, more than a
+        # uint8 count holds
+        losses = (np.random.default_rng(7).random((400, 30)) >= 0.1).astype(np.float64)
+        prof = deduplicate(dmatrix(losses))
+        assert prof.n_unique >= 300
+        expected = scalar_traces(prof, 80, RngStream(13))
+        assert runner_traces(prof, 80, RngStream(13)) == expected
+        assert min(trace.pool_sizes[1] for trace in expected) < prof.n_unique - 255
+
+    @pytest.mark.parametrize("n_unique, dtype", [(65_536, np.uint16), (65_537, np.int32)])
+    def test_beaten_counts_at_the_uint16_limit(self, n_unique, dtype):
+        # at most N - 1 rows are beaten: 65,535 fit a uint16, 65,536 do not
+        assert engine._count_dtype(n_unique) is dtype
+        by_case = np.ones((1, n_unique), dtype=np.uint8)
+        by_case[0, 0] = 0
+        _, size = engine._elite_filter(by_case, np.zeros((1, n_unique), dtype=np.uint8), np.array([0]))
+        assert size.tolist() == [1]
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             run_trials(profile([[0, 1]]), 0, RngStream(0))
