@@ -86,6 +86,17 @@ def render(rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out) -> None:
+    """Fail before any work if ``--out`` cannot be written: its directory
+    must exist and be writable, and it must not be a directory itself."""
+    if out:
+        directory = Path(out).parent
+        if not directory.is_dir():
+            raise ValueError(f"--out {out}: no directory {directory}")
+        if Path(out).is_dir() or not os.access(directory, os.W_OK):
+            raise ValueError(f"--out {out}: cannot write a file there")
+
+
 def _emit(text: str, out) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -135,6 +146,7 @@ def _epsilon_grid(args) -> tuple[Fraction, ...]:
 
 
 def cmd_analyze(args) -> int:
+    _check_out(args.out)
     grid = _epsilon_grid(args)
     matrix, profile, delta = _load_profile(args.matrix, args.delta)
     reports = bounds.sweep(profile, grid, delta, args.budget)
@@ -173,6 +185,7 @@ def _scan_run_directory(path: Path) -> list[tuple[int, Path]]:
 
 
 def cmd_sweep_run(args) -> int:
+    _check_out(args.out)
     generations = _scan_run_directory(Path(args.run_directory))
     grid = _epsilon_grid(args)
     rows = []
@@ -214,6 +227,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     seed = _check_seed(args.seed)
     grid = _epsilon_grid(args)
+    _check_out(args.out)
     matrix = read_matrix_csv(args.matrix)
     if matrix.kind is LossKind.REAL:
         if not args.binarize_mad:

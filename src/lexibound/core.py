@@ -289,19 +289,18 @@ def randbelow_array(states: np.ndarray, bound) -> np.ndarray:
     :class:`RandomSource` would, rejections included.
     """
     bound = np.asarray(bound, dtype=np.uint64)
-    # Largest accepted draw: 2^64 - (2^64 mod n) - 1, without leaving uint64.
-    top = _MAX_U64 - (_MAX_U64 % bound + np.uint64(1)) % bound
     states += _GOLDEN_U64
     draws = _mix64_array(states)
-    redo = np.flatnonzero(draws > top)
+    # Bound n accepts draws up to 2^64 - (2^64 mod n) - 1, which is at least
+    # 2^64 - n; so draws up to 2^64 - max(n) pass every bound unchecked, and
+    # only the rare ones above it are checked against their own bound.
+    redo = np.flatnonzero(draws > _MAX_U64 - (bound.max(initial=1) - np.uint64(1)))
     while redo.size:
+        n = bound if bound.ndim == 0 else bound[redo]
+        redo = redo[draws[redo] > _MAX_U64 - (_MAX_U64 % n + np.uint64(1)) % n]
         states[redo] += _GOLDEN_U64
         draws[redo] = _mix64_array(states[redo])
-        redo = redo[draws[redo] > (top if top.ndim == 0 else top[redo])]
-    # x - x // n * n is x % n; numpy's floor division by one scalar divisor
-    # takes a fast path that its remainder lacks (2.4 against 15 us on 4,096
-    # uint64 draws, numpy 2.4).
-    draws -= draws // bound * bound
+    draws %= bound
     return draws.astype(np.intp)
 
 

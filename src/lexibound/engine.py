@@ -7,16 +7,17 @@ single behavior remains. The winner is drawn uniformly from that behavior's
 clones, the individuals ``unique_index`` maps to it. One evaluation is counted
 per (pool member, drawn case) pair, including the final filter to one.
 
-:func:`run_trials` runs many such selections in lockstep blocks with numpy,
-each bit-identical to :func:`lexicase_select` on its own substream; the
-scalar function stays the reference it is checked against. It filters on
-loss ranks, masking a pool's non-members by OR-ing in an all-ones value.
-While a block's trials share few distinct pools, it filters each distinct
-(pool, case) pair once and hands the result to every trial that drew it;
-either way each trial's pool is the same, so this never changes a result.
-A finished trial's winner is read from its pool's mask, and its working row
-then writes to a sink row of the outputs until half the rows have finished
-and the working arrays are compacted.
+:func:`run_trials` runs many such selections in lockstep with numpy, each
+bit-identical to :func:`lexicase_select` on its own substream; the scalar
+function stays the reference it is checked against. Its working rows step
+together, and a row whose trial has finished takes the next trial at once,
+so a run waits for its slowest trial rather than for the slowest of each
+block. Trials come out in blocks, in order; those that finish ahead of
+their block wait in a ring of slots a few blocks long. It filters on loss
+ranks, masking a pool's non-members by OR-ing in an all-ones value. While
+the trials share few distinct pools, each pool has one id and each move
+between pools is filtered once; either way each trial's pool is the same,
+so this never changes a result.
 
 Also houses the static-epsilon binarization variant.
 """
@@ -40,15 +41,22 @@ __all__ = [
     "mad_thresholds",
 ]
 
-# run_trials works in blocks of at most this many trials and trial x (unique row
-# + case) cells; the cells bound its working set (int32 per case, 1-8 byte codes
-# and masks per row). 3,000 trials on perfbench's simulate_converged profile,
-# 400 unique rows x 100 cases (2 vCPU, best of 10): 21 ms at 2^19 cells, 25 at
-# 2^18, 38-46 at 2^17, 19 at 2^20. verify's 7 oracle profiles x 20,000 trials
-# (best of 30): 28 ms at 2,048 trials, 22 at 4,096, 21 at 8,192; the process's
-# peak RSS grows by 1.4 MB at 2,048, 1.5 at 4,096 and 2.8 at 8,192.
+# run_trials steps at most this many working rows, and at most this many row x
+# (unique row + case) cells: they bound its working set, 1-8 byte masks and
+# filter values per unique row, and 1-2 byte case and pool-size slots per case
+# for _RING_BLOCKS blocks of rows. A block of trials is that many rows. CPU time
+# per call, best of 10 in each of 3 processes (2 vCPU, shared, numpy 2.4):
+# 3,000 trials on perfbench's simulate_converged profile (400 unique rows x 100
+# cases) took 20-30 ms at 2^19 cells (1,048 rows), 19-33 at 2^18 (157 steps
+# against 105), 24-39 at 2^17 and 23-37 at 2^20; verify's 7 oracle profiles x
+# 20,000 trials took 51-53 ms at 2,048 rows, 28-43 at 4,096 and 26-39 at 8,192,
+# where the process's peak RSS is 1.3 MB higher than at 4,096. A trial may
+# start up to _RING_BLOCKS blocks past the oldest one not yet yielded: at 3,
+# simulate_converged's three blocks start without waiting (105 steps at seed 1,
+# 148 at 2, against 220 one block at a time).
 _BLOCK_TRIALS = 4096
 _BLOCK_CELLS = 1 << 19
+_RING_BLOCKS = 3
 
 
 @dataclass(frozen=True)
@@ -142,9 +150,10 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     """Run ``trials`` selections, trial i on ``rng.substream(i)``, in blocks.
 
     Trial i is bit for bit ``lexicase_select(profile, rng.substream(i))``:
-    all trials of a block draw their cases in lockstep, from vectorised
-    copies of their own splitmix64 streams, so the block size never changes
-    a result. Blocks hold consecutive trials and are yielded in order.
+    the trials draw their cases in lockstep, from vectorised copies of their
+    own splitmix64 streams, so neither the number of working rows nor the
+    step at which a trial starts changes a result. Blocks hold consecutive
+    trials and are yielded in order, each once all its trials have finished.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -153,12 +162,10 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     members = np.argsort(profile.unique_index, kind="stable")
     sizes = np.bincount(profile.unique_index)
     starts = np.cumsum(sizes) - sizes
-    block = max(1, min(_BLOCK_TRIALS, _BLOCK_CELLS // (profile.n_unique + profile.n_cases)))
+    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_CELLS // (profile.n_unique + profile.n_cases)))
 
     def blocks() -> Iterator[TrialBlock]:
-        for start in range(0, trials, block):
-            states = rng.substream_states(start, min(trials, start + block))
-            winner, evaluations, steps, case_order, pool_sizes = _select_block(by_case, states)
+        for winner, states, steps, evaluations, case_order, pool_sizes in _lockstep(by_case, trials, rows, rng):
             # Clone tie breaks draw last, as in lexicase_select.
             size = sizes[winner]
             winner_original = members[starts[winner]]
@@ -180,101 +187,195 @@ def _narrow_losses(losses: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(codes, dtype=dtype)
 
 
-def _select_block(by_case: np.ndarray, states: np.ndarray):
-    """Filter one block of pools down to their winners, in lockstep.
+def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
+    """Filter the pools of trials 0..trials-1 down to their winners in
+    lockstep over at most ``rows`` working rows. Yields each block of
+    ``rows`` consecutive trials once all have finished: their winning unique
+    rows, stream states after the last case draw, step counts, evaluations,
+    case orders and pool sizes, the last two as ``TrialBlock`` describes.
 
     ``by_case`` is the unique loss matrix transposed (C x N) as rank codes
-    (see ``_narrow_losses``). ``states`` holds the trials' stream states; each
-    is left at its state after its trial's last case draw. Working arrays hold
-    one row per trial not yet compacted away: its row in the block, state,
-    undrawn cases (swap-removed as in lexicase_select) and pool id. A pool id
-    is a row of ``masks``, which marks the rows filtered out of that pool.
-    While the (pool id, case) pairs are no more than the working rows, each
-    distinct pair is filtered once and its trials share the result; after
-    that, ``pid`` is None and ``masks`` holds one row per working row.
+    (see ``_narrow_losses``). Trial i owns slot i mod ``window``: column
+    i mod ``window`` of ``remaining`` and ``sizes``, C entries each. A
+    working row holds one running trial: its slot, stream state, undrawn
+    case count ``left`` and ``last``, the flat index of its last undrawn
+    case. A draw swaps the drawn case with that last one, as lexicase_select
+    swap-removes it, so the slot's end holds the case order backwards, and
+    ``sizes`` the pool size after each step at the same places (0 elsewhere).
+    When a trial's pool reaches one row, its working row takes the next
+    trial at once, with its own stream state, the full pool and every case
+    undrawn; so while trials remain no row is idle, and a run waits for one
+    straggler, not one per block.
 
-    When a trial's pool reaches one row, its winner is the pool's only zero
-    in ``masks`` (found once per distinct pool while pool ids are shared) and
-    its state is saved; its working row then points at ``sink``, one extra
-    trial row of the outputs, so the draws and filters it still takes part
-    in write nowhere. Once half the working rows have finished, the working
-    arrays are compacted to the running ones. Outputs are stored step-major
-    (one contiguous row per step) and returned transposed; steps and
-    evaluations are read from the pool sizes at the end, since a trace's
-    sizes exceed 1 until its last entry, which is 1.
+    A trial starts only once its slot is free: less than ``window`` =
+    ``_RING_BLOCKS`` x ``rows`` trials past the start of the oldest block
+    not yet yielded. So the outputs held, C one- or two-byte case and
+    pool-size entries per slot, stay a fixed multiple of the block size.
+    While the oldest block waits for a straggler, rows that no trial may
+    take leave the working arrays, and rejoin once it is yielded.
+
+    Rows share pool ids (``pid``, see ``_Pools``) until a step would filter
+    more new moves than a quarter of the working rows, about the cost of
+    filtering every row, or could add more pools than rows; from then on
+    ``pid`` is None and ``masks`` holds each working row's own pool.
     """
     n_cases, n_unique = by_case.shape
-    count = len(states)
-    sink = count
-    winner = np.zeros(count, dtype=np.intp)
-    case_order = np.full((n_cases, count + 1), -1, dtype=np.int32)
-    pool_sizes = np.ones((n_cases + 1, count + 1), dtype=np.int32)
-    pool_sizes[0] = n_unique
-
-    live = np.arange(count if n_unique > 1 else 0)
-    live_states = states[live]
-    remaining = np.tile(np.arange(n_cases, dtype=np.int32), (live.size, 1))
-    base = np.arange(0, live.size * n_cases, n_cases)
-    masks = np.zeros((1, n_unique), dtype=by_case.dtype)
-    pid = np.zeros(live.size, dtype=np.intp)
-    finished = 0
-    t = 0
-    while live.size:
-        left = n_cases - t
-        cell = base + randbelow_array(live_states, left)  # flat index into remaining
-        flat = remaining.reshape(-1)
-        case = flat[cell]
-        flat[cell] = remaining[:, left - 1]
-        if pid is not None and len(masks) * n_cases <= live.size:
-            pair_pid, pair_case, pid = _distinct_pairs(pid, case, n_cases)
-            masks, pair_size = _elite_filter(by_case, masks[pair_pid], pair_case)
-            size = pair_size[pid]
-        else:
-            masks, size = _elite_filter(by_case, masks if pid is None else masks[pid], case)
-            pid = None
-        case_order[t, live] = case
-        pool_sizes[t + 1, live] = size
-        t += 1
-
-        done = np.flatnonzero(size == 1)  # a finished row's pool stays at one
-        if done.size > finished:
-            done = done[live[done] != sink]
-            trial = live[done]
+    if n_unique == 1:  # every pool starts at one row: no trial draws a case
+        for start in range(0, trials, rows):
+            count = min(trials, start + rows) - start
+            zeros = np.zeros(count, dtype=np.intp)
+            traces = np.ones((count, 1), dtype=np.int32)
+            yield zeros, rng.substream_states(start, start + count), zeros, zeros, traces[:, :0], traces
+        return
+    window = min(trials, _RING_BLOCKS * rows)
+    # Entry k of slot i is column i of row k: a block's slots are a column range.
+    remaining = np.zeros((n_cases, window), dtype=np.min_scalar_type(n_cases - 1))
+    sizes = np.zeros((n_cases, window), dtype=np.min_scalar_type(n_unique))
+    winners = np.zeros(window, dtype=np.min_scalar_type(n_unique - 1))
+    ring_states = np.zeros(window, dtype=np.uint64)  # start states, then final ones
+    finished = np.zeros(_RING_BLOCKS, dtype=np.intp)  # per block of slots
+    flat_remaining, flat_sizes = remaining.reshape(-1), sizes.reshape(-1)
+    cases = np.arange(n_cases, dtype=remaining.dtype)[:, None]
+    slot = last = pid = np.zeros(0, dtype=np.intp)
+    states = left = np.zeros(0, dtype=np.uint64)
+    pools, masks = _Pools(by_case), None
+    start = admitted = seeded = 0  # first trial of the oldest block not yet yielded, not started, not seeded
+    free = slot  # working rows whose trial has finished
+    while True:
+        count = min(free.size + rows - slot.size, min(trials, start + window) - admitted)
+        if count:
+            while seeded < admitted + count:  # a block's start states, once it may start
+                stop = min(trials, seeded + rows)
+                ring_states[seeded % window : seeded % window + stop - seeded] = rng.substream_states(seeded, stop)
+                seeded = stop
+            first = admitted % window  # the new slots: first.., wrapping to 0..
+            for ring in (slice(first, first + count), slice(0, max(0, first + count - window))):
+                remaining[:, ring] = cases
+                sizes[:, ring] = 0
+            new = np.arange(first, first + count)
+            if first + count > window:
+                new %= window
+            taken = free[:count]
+            slot, last = _refill(slot, taken, new), _refill(last, taken, new + (n_cases - 1) * window)
+            states = _refill(states, taken, ring_states[new])
+            left = _refill(left, taken, np.full(count, n_cases, dtype=np.uint64))
             if pid is None:
-                winner[trial] = (masks[done] == 0).argmax(axis=1)
+                masks = _refill(masks, taken, np.zeros((count, n_unique), dtype=masks.dtype))
             else:
-                winner[trial] = (masks == 0).argmax(axis=1)[pid[done]]
-            states[trial] = live_states[done]
-            live[done] = sink
-            finished += done.size
-            if 2 * finished >= live.size:
-                keep = np.flatnonzero(live != sink)
-                live, live_states, remaining = live[keep], live_states[keep], remaining[keep]
-                if pid is None:
-                    masks = masks[keep]
-                else:
-                    pid = pid[keep]
-                base = base[: keep.size]
-                finished = 0
+                pid = _refill(pid, taken, np.zeros(count, dtype=np.intp))
+            admitted += count
+        if free.size > count:  # no trial may take these rows yet
+            keep = np.ones(slot.size, dtype=bool)
+            keep[free[count:]] = False
+            slot, last, states, left = slot[keep], last[keep], states[keep], left[keep]
+            if pid is None:
+                masks = masks[keep]
+            else:
+                pid = pid[keep]
+        if not slot.size:
+            return
 
-    pool_sizes = pool_sizes[: t + 1, :count]
-    steps = np.count_nonzero(pool_sizes > 1, axis=0)
-    evaluations = pool_sizes.sum(axis=0, dtype=np.int64) - (t + 1 - steps)
-    return winner, evaluations, steps, case_order[:t, :count].T, pool_sizes.T
+        cell = randbelow_array(states, left) * window + slot
+        case = flat_remaining[cell]
+        flat_remaining[cell] = flat_remaining[last]
+        flat_remaining[last] = case
+        moved = None if pid is None else pools.move(pid, case, min(slot.size // 4, rows - len(pools.masks)))
+        if moved is None:
+            masks, size = _elite_filter(by_case, masks if pid is None else pools.masks[pid], case)
+        else:
+            size = pools.sizes[moved]
+        pid = moved
+        flat_sizes[last] = size
+        last -= window
+        left -= np.uint64(1)
+
+        free = np.flatnonzero(size == 1)
+        if not free.size:
+            continue
+        done = slot[free]
+        winners[done] = (masks[free] == 0).argmax(axis=1) if pid is None else pools.winners[pid[free]]
+        ring_states[done] = states[free]
+        finished += np.bincount(done // rows, minlength=_RING_BLOCKS)
+        while start < trials and finished[start // rows % _RING_BLOCKS] == min(rows, trials - start):
+            finished[start // rows % _RING_BLOCKS] = 0
+            ring = slice(start % window, start % window + min(rows, trials - start))
+            yield winners[ring].astype(np.intp), ring_states[ring].copy(), *_traces(remaining[::-1, ring], sizes[::-1, ring], n_unique)
+            start += rows
 
 
-def _distinct_pairs(pid: np.ndarray, case: np.ndarray, n_cases: int):
-    """The distinct (pool id, case) pairs of the trials, in key order, and
-    each trial's index among them."""
-    key = pid * n_cases + case
-    seen = np.bincount(key).astype(bool)
-    pairs = np.flatnonzero(seen)
-    return pairs // n_cases, pairs % n_cases, (np.cumsum(seen) - 1)[key]
+def _refill(column: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``column`` with ``values`` written to ``rows`` and the rest appended."""
+    column[rows] = values[: len(rows)]
+    return np.concatenate((column, values[len(rows) :])) if len(values) > len(rows) else column
+
+
+def _traces(remaining: np.ndarray, sizes: np.ndarray, n_unique: int):
+    """Step counts, evaluations, case orders and pool sizes of finished
+    trials from their slots, entry C-1-j of a slot being step j (see
+    ``_lockstep``): row j of ``remaining`` and ``sizes`` here. The traces
+    are built step-major, one contiguous row per step, and returned
+    transposed."""
+    steps = np.count_nonzero(sizes, axis=0)  # sizes are 0 past a trace
+    width = int(steps.max())
+    size = sizes[:width]
+    case_order = remaining[:width].astype(np.int32)
+    case_order -= (case_order + 1) * (size == 0)  # -1 past a trace
+    pool_sizes = np.empty((width + 1, len(steps)), dtype=np.int32)
+    pool_sizes[0] = n_unique
+    np.maximum(size, 1, out=pool_sizes[1:])
+    # M is X_0 plus every later size but the final 1.
+    evaluations = size.sum(axis=0, dtype=np.int64) + (n_unique - 1)
+    return steps, evaluations, case_order.T, pool_sizes.T
+
+
+class _Pools:
+    """The distinct pools that trials reach while they share pool ids, and
+    the moves between them: ``moves[p * C + c]`` is the id of pool p
+    filtered on case c, or -1 until a trial makes that move. A pool's id is
+    its row in ``masks`` (see ``_elite_filter``), ``sizes`` and ``winners``
+    (its first member, the winner once the pool is one row); equal pools
+    share one id, found by their packed mask bits, and id 0 is the full pool."""
+
+    def __init__(self, by_case: np.ndarray):
+        self.by_case = by_case
+        self.n_cases, n_unique = by_case.shape
+        self.masks = np.zeros((1, n_unique), dtype=by_case.dtype)
+        self.sizes = np.array([n_unique], dtype=np.int32)
+        self.winners = np.zeros(1, dtype=np.intp)
+        self.moves = np.full(self.n_cases, -1, dtype=np.intp)
+        self.ids = {np.packbits(self.masks[0] != 0).tobytes(): 0}
+
+    def move(self, pid: np.ndarray, case: np.ndarray, most: int):
+        """Each trial's pool id after filtering its pool on its case, or None
+        if more than ``most`` of these moves are new. Each new move runs one
+        elite filter; each new pool is added."""
+        key = pid * self.n_cases + case
+        pid = self.moves[key]
+        unseen = np.flatnonzero(pid < 0)
+        if not unseen.size:
+            return pid
+        seen = np.zeros(len(self.moves), dtype=bool)
+        seen[key[unseen]] = True
+        new = np.flatnonzero(seen)  # np.unique would import numpy.ma, 0.5 MB
+        if new.size > most:
+            return None
+        masks, sizes = _elite_filter(self.by_case, self.masks[new // self.n_cases], new % self.n_cases)
+        fresh = []  # rows of ``masks`` that are new pools, in id order
+        for row, bits in enumerate(np.packbits(masks != 0, axis=1)):
+            self.moves[new[row]] = self.ids.setdefault(bits.tobytes(), len(self.ids))
+            if len(self.ids) > len(self.masks) + len(fresh):
+                fresh.append(row)
+        if fresh:
+            self.masks = np.concatenate((self.masks, masks[fresh]))
+            self.sizes = np.concatenate((self.sizes, sizes[fresh]))
+            self.winners = np.concatenate((self.winners, (masks[fresh] == 0).argmax(axis=1)))
+            self.moves = np.concatenate((self.moves, np.full(len(fresh) * self.n_cases, -1, dtype=np.intp)))
+        return self.moves[key]
 
 
 def _elite_filter(by_case: np.ndarray, pools: np.ndarray, case: np.ndarray):
-    """Filter each pool (a mask row, see ``_select_block``) to its elites on
-    its case; returns the filtered pools' masks and sizes."""
+    """Filter each pool (a mask row, see ``_lockstep``) to its elites on its
+    case; returns the filtered pools' masks and sizes."""
     values = by_case[case]
     values |= pools  # a non-member reads all-ones, above every code
     n_unique = by_case.shape[1]

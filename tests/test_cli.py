@@ -159,6 +159,11 @@ class TestGoldenOutput:
             "simulate", "pop.csv", "--trials", "500", "--seed", "7",
             "--check-bound", "--epsilon-grid", "0.2:0.6:0.2", "--budget", "1",
         ],
+        # 3,000 trials on 400 unique rows: several blocks of trials, whose
+        # rows take new trials while older blocks wait for stragglers
+        "simulate-blocks.json": [
+            "simulate", "blocks.csv", "--trials", "3000", "--seed", "5", "--check-bound", "--epsilon", "0.15",
+        ],
     }
 
     @pytest.fixture
@@ -172,6 +177,8 @@ class TestGoldenOutput:
              "--seed", "1", "--out", "run/gen_0.csv"],
             ["--kind", "random_uniform", "--n", "10", "--c", "12", "--levels", "3", "--seed", "2",
              "--out", "run/gen_1.csv"],
+            ["--kind", "clustered", "--n", "400", "--c", "100", "--clusters", "8", "--spread", "0.05",
+             "--seed", "3", "--out", "blocks.csv"],
         ):
             assert run(["genpop"] + argv) == 0
         (tmp_path / "real.csv").write_text("0.5,1.5,2.25\n1.0,0.25,2.0\n0.125,0.2,0.3\n0.5,1.5,2.0\n")
@@ -315,6 +322,27 @@ class TestInputErrors:
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep-run", "simulate", "simulate-check"])
+    @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+    def test_unwritable_out_fails_before_any_work(self, command, target, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran work before checking --out")
+
+        monkeypatch.setattr("lexibound.bounds.sweep", never)
+        monkeypatch.setattr("lexibound.simulate.estimate_runtime", never)
+        (tmp_path / "gen_0.csv").write_text("0,1\n1,0\n1,1\n")
+        matrix = str(tmp_path / "gen_0.csv")
+        argv = {
+            "analyze": ["analyze", matrix],
+            "sweep-run": ["sweep-run", str(tmp_path)],
+            "simulate": ["simulate", matrix, "--trials", "10"],
+            "simulate-check": ["simulate", matrix, "--trials", "10", "--check-bound", "--epsilon", "0.5"],
+        }[command]
+        out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lexibound: error: --out {out}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "spec",

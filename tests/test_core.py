@@ -22,6 +22,7 @@ from lexibound.core import (
     deduplicate,
     exact_fraction,
     identity_profile,
+    randbelow_array,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -181,6 +182,67 @@ class TestRngStream:
         src = RngStream(3).source()
         values = [src.random() for _ in range(500)]
         assert all(0.0 <= v < 1.0 for v in values)
+
+
+def scalar_draws(rng, count, bounds):
+    """``RandomSource.randbelow`` draw by draw: source i of substream i draws
+    once per row of ``bounds`` (bound ``bounds[r][i]``); returns the draws
+    and each source's final state."""
+    sources = [rng.substream(i).source() for i in range(count)]
+    draws = [[src.randbelow(int(row[i])) for i, src in enumerate(sources)] for row in bounds]
+    return draws, [src._state for src in sources]
+
+
+class TestRandbelowArray:
+    """``randbelow_array`` against ``RandomSource.randbelow``, draw for draw."""
+
+    def array_draws(self, rng, count, bounds):
+        states = rng.substream_states(0, count)
+        draws = [randbelow_array(states, bound).tolist() for bound in bounds]
+        return draws, states.tolist()
+
+    def test_scalar_bound(self):
+        rng = RngStream(21, 3)
+        bounds = [7, 1, 2, 100, 2**31 - 1, 2**40 + 5]
+        array = self.array_draws(rng, 300, bounds)
+        assert array == scalar_draws(rng, 300, [[b] * 300 for b in bounds])
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.intp])
+    def test_per_element_bounds(self, dtype):
+        rng = RngStream(8)
+        gen = np.random.default_rng(4)
+        bounds = [gen.integers(1, 120, size=500).astype(dtype) for _ in range(6)]
+        bounds.append(np.full(500, 2**40 + 7, dtype=dtype))
+        array = self.array_draws(rng, 500, bounds)
+        assert array == scalar_draws(rng, 500, bounds)
+        assert all(min(row) >= 0 for row in array[0])
+
+    @pytest.mark.parametrize("per_element", [False, True])
+    def test_bounds_where_a_quarter_of_draws_are_rejected(self, per_element):
+        # 2^64 mod (2^62 + 1) = 2^62 - 3: draws at or above 3 (2^62 + 1)
+        # are rejected, about a quarter of them, so sources redraw
+        # different numbers of times and the per-element loop runs
+        bound = 2**62 + 1
+        rng = RngStream(2, 9)
+        bounds = [np.full(400, bound, dtype=np.uint64) if per_element else bound] * 3
+        if per_element:
+            bounds[1] = np.where(np.arange(400) % 2 == 0, bound, 5).astype(np.uint64)
+        states = rng.substream_states(0, 400)
+        before = states.copy()
+        array = [randbelow_array(states, b).tolist() for b in bounds]
+        assert (array, states.tolist()) == scalar_draws(rng, 400, [np.broadcast_to(b, 400) for b in bounds])
+        # count each source's state steps: some redrew, others did not
+        steps, state = np.zeros(400, dtype=int), before
+        for _ in range(60):
+            moving = state != states
+            state = state + moving * np.uint64(0x9E3779B97F4A7C15)
+            steps += moving
+        assert (state == states).all() and steps.min() == 3 < steps.max()
+
+    def test_empty(self):
+        states = np.zeros(0, dtype=np.uint64)
+        assert randbelow_array(states, np.zeros(0, dtype=np.uint64)).tolist() == []
+        assert randbelow_array(states, 5).tolist() == []
 
 
 class TestExactFraction:

@@ -128,24 +128,33 @@ def scalar_traces(prof, trials, rng):
 
 @contextlib.contextmanager
 def counted_filters():
-    """Count the runner's elite filters: ``filters`` in all, ``shared`` of
-    them run once per distinct (pool, case) pair, the rest once per trial."""
-    counts = {"filters": 0, "shared": 0}
-    elite_filter, distinct_pairs = engine._elite_filter, engine._distinct_pairs
+    """Count the runner's steps by kind: ``shared`` steps move pool ids,
+    filtering only the (pool, case) moves no trial made before (``filters``
+    counts those filters and all others); ``per_trial`` steps filter every
+    trial's pool."""
+    counts = {"filters": 0, "shared": 0, "per_trial": 0}
+    elite_filter, move = engine._elite_filter, engine._Pools.move
+    moving = []
 
     def counted_filter(*args):
         counts["filters"] += 1
+        counts["per_trial"] += not moving
         return elite_filter(*args)
 
-    def counted_pairs(*args):
-        counts["shared"] += 1
-        return distinct_pairs(*args)
+    def counted_move(*args):
+        moving.append(True)
+        try:
+            moved = move(*args)
+        finally:
+            moving.pop()
+        counts["shared"] += moved is not None
+        return moved
 
-    engine._elite_filter, engine._distinct_pairs = counted_filter, counted_pairs
+    engine._elite_filter, engine._Pools.move = counted_filter, counted_move
     try:
         yield counts
     finally:
-        engine._elite_filter, engine._distinct_pairs = elite_filter, distinct_pairs
+        engine._elite_filter, engine._Pools.move = elite_filter, move
 
 
 @st.composite
@@ -220,15 +229,25 @@ class TestRunTrials:
             assert counts["shared"] >= 1
 
     def test_block_switches_from_shared_to_per_trial_filters(self):
-        # 40 rows over 3 cases: the first steps share a few pools, then the
-        # pools times 3 cases outnumber the trials still running
-        prof = profile(random_rows(21, 40, 3, 8))
+        # 40 rows over 8 cases: step 0 moves one pool on at most 8 cases; the
+        # next step makes more new moves than a quarter of the 200 rows
+        prof = profile(random_rows(21, 40, 8, 8))
         assert prof.n_unique == 40
         with counted_filters() as counts:
-            traces = runner_traces(prof, 50, RngStream(5))
-        assert traces == scalar_traces(prof, 50, RngStream(5))
-        assert counts["shared"] >= 1
-        assert counts["filters"] > counts["shared"]
+            traces = runner_traces(prof, 200, RngStream(5))
+        assert traces == scalar_traces(prof, 200, RngStream(5))
+        assert counts["shared"] >= 1 and counts["per_trial"] >= 1
+
+    def test_equal_pools_share_one_id(self):
+        # 12 unique rows: every trial of 2,000 moves among the few pools they
+        # reach, so rows keep sharing pool ids past step 6, and each move is
+        # filtered once in the run, not once per step
+        prof = fast_and_slow_profile()
+        with counted_filters() as counts:
+            traces = runner_traces(prof, 2000, RngStream(3), block_trials=500)
+        assert traces == scalar_traces(prof, 2000, RngStream(3))
+        assert counts["shared"] > 6 and counts["per_trial"] == 0
+        assert counts["filters"] < counts["shared"]
 
     def test_single_unique_row(self):
         prof = profile([[3, 1], [3, 1], [3, 1]])
@@ -264,19 +283,21 @@ class TestRunTrials:
     @pytest.mark.parametrize("block_trials", [10, 500])
     def test_trials_of_one_block_finish_far_apart(self, block_trials):
         # Most trials finish at step 1 or 2 and a few run to step 8 or later,
-        # so the working arrays are compacted several times within the block:
-        # at steps 2, 4, 6 and 8 in a block of 10, which holds fewer trials
-        # than cases and so filters per trial from step 1; at steps 1 and 2
-        # with shared pools, then four times per trial, in a block of 500.
+        # so working rows take new trials at almost every step; with 10 rows,
+        # the oldest block's straggler keeps trials of the fourth block from
+        # starting, and the rows it frees rejoin once that block is yielded.
         prof = fast_and_slow_profile()
         rng = RngStream(3)
-        expected = scalar_traces(prof, block_trials, rng)
-        assert runner_traces(prof, block_trials, rng, block_trials) == expected
+        trials = 4 * block_trials
+        expected = scalar_traces(prof, trials, rng)
+        assert runner_traces(prof, trials, rng, block_trials) == expected
         steps = [len(trace.case_order) for trace in expected]
-        assert min(steps) == 1 and 2 * (steps.count(1) + steps.count(2)) > block_trials and max(steps) >= 8
+        assert min(steps) == 1 and 2 * (steps.count(1) + steps.count(2)) > trials and max(steps) >= 8
         # each trial's state after its case draws, which the clone tie-break reads
-        states = rng.substream_states(0, block_trials)
-        engine._select_block(engine._narrow_losses(prof.unique.losses.T), states)
+        by_case = engine._narrow_losses(prof.unique.losses.T)
+        blocks = list(engine._lockstep(by_case, trials, block_trials, rng))
+        assert [len(block[1]) for block in blocks] == [block_trials] * 4
+        states = np.concatenate([block[1] for block in blocks])
         for i, (state, trace) in enumerate(zip(states.tolist(), expected)):
             src = rng.substream(i).source()
             for step in range(len(trace.case_order)):
