@@ -131,8 +131,10 @@ def counted_filters():
     """Count the runner's steps by kind: ``shared`` steps move pool ids,
     filtering only the (pool, case) moves no trial made before (``filters``
     counts those filters and all others); ``per_trial`` steps filter every
-    trial's pool."""
-    counts = {"filters": 0, "shared": 0, "per_trial": 0}
+    trial's pool. ``capped`` counts switches to per-trial filtering made
+    because the pool table could not grow, fewer new moves being allowed
+    than a quarter of the trials; ``pools`` is the largest pool table."""
+    counts = {"filters": 0, "shared": 0, "per_trial": 0, "capped": 0, "pools": 0}
     elite_filter, move = engine._elite_filter, engine._Pools.move
     moving = []
 
@@ -141,13 +143,15 @@ def counted_filters():
         counts["per_trial"] += not moving
         return elite_filter(*args)
 
-    def counted_move(*args):
+    def counted_move(pools, pid, case, most):
         moving.append(True)
         try:
-            moved = move(*args)
+            moved = move(pools, pid, case, most)
         finally:
             moving.pop()
         counts["shared"] += moved is not None
+        counts["capped"] += moved is None and most < len(pid) // 4
+        counts["pools"] = max(counts["pools"], len(pools.masks))
         return moved
 
     engine._elite_filter, engine._Pools.move = counted_filter, counted_move
@@ -194,6 +198,16 @@ def fast_and_slow_profile():
     expanded = [row for row, k in zip(rows, copies) for _ in range(k)]
     order = np.random.default_rng(5).permutation(len(expanded))
     return profile([expanded[i] for i in order])
+
+
+MANY_POOLS_ROWS = [
+    [0, 13, 11, 2, 0], [10, 10, 11, 0, 3], [10, 10, 11, 3, 2], [10, 11, 10, 0, 1], [10, 11, 10, 0, 3],
+    [10, 11, 11, 2, 3], [10, 11, 11, 3, 1], [10, 12, 10, 3, 0], [10, 13, 10, 0, 1], [10, 13, 13, 0, 2],
+    [11, 10, 10, 0, 1], [11, 10, 12, 3, 0], [11, 10, 13, 1, 2], [11, 10, 13, 3, 2], [11, 11, 12, 1, 3],
+    [11, 11, 12, 2, 1], [12, 0, 13, 3, 3], [12, 10, 10, 2, 1], [12, 10, 13, 0, 1], [12, 10, 13, 2, 2],
+    [12, 10, 13, 3, 0], [12, 12, 0, 0, 2], [12, 12, 12, 1, 0], [12, 13, 10, 2, 0], [12, 13, 12, 3, 0],
+    [13, 11, 10, 2, 2],
+]
 
 
 class TestRunTrials:
@@ -248,6 +262,17 @@ class TestRunTrials:
         assert traces == scalar_traces(prof, 2000, RngStream(3))
         assert counts["shared"] > 6 and counts["per_trial"] == 0
         assert counts["filters"] < counts["shared"]
+
+    def test_switches_when_the_pool_table_is_full(self):
+        # 26 unique rows over 5 cases, cases 0-2 won by one row each: most
+        # trials end within two steps, so each step makes few new moves, but
+        # together the trials reach 23 distinct pools, more than the 20 rows
+        prof = profile(MANY_POOLS_ROWS)
+        with counted_filters() as counts:
+            traces = runner_traces(prof, 1200, RngStream(1098), block_trials=20)
+        assert traces == scalar_traces(prof, 1200, RngStream(1098))
+        assert counts["capped"] == 1 and counts["per_trial"] >= 1
+        assert counts["shared"] > 1 and counts["pools"] <= 20
 
     def test_single_unique_row(self):
         prof = profile([[3, 1], [3, 1], [3, 1]])
