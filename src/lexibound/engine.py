@@ -54,8 +54,8 @@ __all__ = [
 # start up to _RING_BLOCKS blocks past the oldest one not yet yielded, so a
 # straggler stops admission only once the rows have run the blocks after it;
 # each block of ring holds C case and pool-size entries, a winner and an
-# 8-byte state per slot. Lockstep steps and median CPU ms (7 runs, same
-# machine) at 1 / 2 / 3 / 4 blocks / the whole run: simulate_converged's
+# 8-byte state per slot. Lockstep steps and median CPU ms (7 runs, 2 vCPU)
+# at 1 / 2 / 3 / 4 blocks / the whole run: simulate_converged's
 # profile (seed 1), 3,000 trials (3 blocks): 220/148/105/105/105 steps,
 # 45/37/31/31/31 ms; 10,000 trials (10 blocks): 719/379/254/221/147 steps,
 # 111/85/78/77/71 ms (seed 1001: 120/94/83/78/72 ms); verify's 7 runs of
