@@ -15,6 +15,7 @@ benchmark's converged sweep_converged populations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -61,8 +62,9 @@ class BoundReport:
     ratio: float
 
 
+@functools.cache
 def default_epsilon_grid() -> tuple[Fraction, ...]:
-    """DEFAULT_GRID as exact fractions."""
+    """DEFAULT_GRID as exact fractions, parsed once."""
     return parse_epsilon_grid(DEFAULT_GRID)
 
 
@@ -118,7 +120,8 @@ def sweep(
     points = []
     for eps in grid:
         try:
-            points.append((eps, far_distance_threshold(eps, c), float(Fraction(4 * n) / eps)))
+            # Correctly rounded, as float(Fraction(4 * n) / eps), but with no Fraction built.
+            points.append((eps, far_distance_threshold(eps, c), 4 * n * eps.denominator / eps.numerator))
         except OverflowError:
             small = Decimal(eps.numerator) / eps.denominator
             raise ValueError(f"epsilon {small:g} is too small: 4N/eps overflows a float") from None

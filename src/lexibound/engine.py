@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -126,20 +126,48 @@ def lexicase_select(profile: DedupProfile, rng: RngStream) -> SelectionTrace:
     )
 
 
-class TrialBlock(NamedTuple):
+class TrialBlock:
     """Outcomes of consecutive trials of one run, one row per trial.
 
     Row b's trace is ``case_order[b, :s]`` and ``pool_sizes[b, :s + 1]``
     with ``s = steps[b]``; past the end of a trace, ``case_order`` holds -1
     and ``pool_sizes`` holds 1, the pool size of a finished selection.
+    The block keeps a copy of its trials' narrow case and pool-size slots,
+    step-major (see ``_lockstep``), and builds every field but the winners
+    from them when first read.
     """
 
-    winner_unique: np.ndarray
-    winner_original: np.ndarray
-    evaluations: np.ndarray
-    steps: np.ndarray
-    case_order: np.ndarray
-    pool_sizes: np.ndarray
+    def __init__(self, winner_unique, winner_original, cases, sizes, n_unique):
+        self.winner_unique, self.winner_original = winner_unique, winner_original
+        self._cases, self._sizes, self._n_unique = cases, sizes, n_unique
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        return np.count_nonzero(self._sizes, axis=0)  # sizes are 0 past a trace
+
+    @cached_property
+    def evaluations(self) -> np.ndarray:
+        # M is X_0 plus every later size but the final 1.
+        return self._sizes.sum(axis=0, dtype=np.int64) + (self._n_unique - 1)
+
+    @property
+    def case_order(self) -> np.ndarray:
+        return self._built[0]
+
+    @property
+    def pool_sizes(self) -> np.ndarray:
+        return self._built[1]
+
+    @cached_property
+    def _built(self):
+        width = int(self.steps.max())
+        return _traces(self._cases[:width], self._sizes[:width], self._n_unique)
+
+    def pool_size_sums(self) -> np.ndarray:
+        """Column sums of ``pool_sizes`` padded with 1 to all C + 1 steps,
+        read from the slots: N per trial, then each step's sizes or 1."""
+        sums = np.maximum(self._sizes, 1).sum(axis=1, dtype=np.int64)
+        return np.concatenate(([self._n_unique * self._sizes.shape[1]], sums))
 
     def traces(self) -> list[SelectionTrace]:
         return [
@@ -173,14 +201,14 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     rows = max(1, min(_BLOCK_TRIALS, _BLOCK_CELLS // (profile.n_unique + profile.n_cases)))
 
     def blocks() -> Iterator[TrialBlock]:
-        for winner, states, steps, evaluations, case_order, pool_sizes in _lockstep(by_case, trials, rows, rng):
+        for winner, states, cases, slot_sizes in _lockstep(by_case, trials, rows, rng):
             # Clone tie breaks draw last, as in lexicase_select.
             size = sizes[winner]
             winner_original = members[starts[winner]]
             tied = np.flatnonzero(size > 1)
             pick = randbelow_array(states[tied], size[tied])
             winner_original[tied] = members[starts[winner[tied]] + pick]
-            yield TrialBlock(winner, winner_original, evaluations, steps, case_order, pool_sizes)
+            yield TrialBlock(winner, winner_original, cases, slot_sizes, profile.n_unique)
 
     return blocks()
 
@@ -199,8 +227,9 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     """Filter the pools of trials 0..trials-1 down to their winners in
     lockstep over at most ``rows`` working rows. Yields each block of
     ``rows`` consecutive trials once all have finished: their winning unique
-    rows, stream states after the last case draw, step counts, evaluations,
-    case orders and pool sizes, the last two as ``TrialBlock`` describes.
+    rows, stream states after the last case draw, and copies of their case
+    and pool-size slots, step-major (row j is step j), which ``TrialBlock``
+    builds its traces from.
 
     ``by_case`` is the unique loss matrix transposed (C x N) as rank codes
     (see ``_narrow_losses``). Trial i owns slot i mod ``window``: column
@@ -231,9 +260,8 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     if n_unique == 1:  # every pool starts at one row: no trial draws a case
         for start in range(0, trials, rows):
             count = min(trials, start + rows) - start
-            zeros = np.zeros(count, dtype=np.intp)
-            traces = np.ones((count, 1), dtype=np.int32)
-            yield zeros, rng.substream_states(start, start + count), zeros, zeros, traces[:, :0], traces
+            slots = np.zeros((0, count), dtype=np.uint8)
+            yield np.zeros(count, dtype=np.intp), rng.substream_states(start, start + count), slots, slots
         return
     window = min(trials, _RING_BLOCKS * rows)
     # Entry k of slot i is column i of row k: a block's slots are a column range.
@@ -307,7 +335,7 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
         while start < trials and finished[start // rows % _RING_BLOCKS] == min(rows, trials - start):
             finished[start // rows % _RING_BLOCKS] = 0
             ring = slice(start % window, start % window + min(rows, trials - start))
-            yield winners[ring].astype(np.intp), ring_states[ring].copy(), *_traces(remaining[::-1, ring], sizes[::-1, ring], n_unique)
+            yield winners[ring].astype(np.intp), ring_states[ring].copy(), remaining[::-1, ring].copy(), sizes[::-1, ring].copy()
             start += rows
 
 
@@ -317,23 +345,15 @@ def _refill(column: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndar
     return np.concatenate((column, values[len(rows) :])) if len(values) > len(rows) else column
 
 
-def _traces(remaining: np.ndarray, sizes: np.ndarray, n_unique: int):
-    """Step counts, evaluations, case orders and pool sizes of finished
-    trials from their slots, entry C-1-j of a slot being step j (see
-    ``_lockstep``): row j of ``remaining`` and ``sizes`` here. The traces
-    are built step-major, one contiguous row per step, and returned
-    transposed."""
-    steps = np.count_nonzero(sizes, axis=0)  # sizes are 0 past a trace
-    width = int(steps.max())
-    size = sizes[:width]
-    case_order = remaining[:width].astype(np.int32)
-    case_order -= (case_order + 1) * (size == 0)  # -1 past a trace
-    pool_sizes = np.empty((width + 1, len(steps)), dtype=np.int32)
+def _traces(cases: np.ndarray, sizes: np.ndarray, n_unique: int):
+    """Case orders and pool sizes, as ``TrialBlock`` holds them, from a block's
+    slots up to its longest trace, built step-major and returned transposed."""
+    case_order = cases.astype(np.int32)
+    case_order -= (case_order + 1) * (sizes == 0)  # -1 past a trace
+    pool_sizes = np.empty((len(sizes) + 1, sizes.shape[1]), dtype=np.int32)
     pool_sizes[0] = n_unique
-    np.maximum(size, 1, out=pool_sizes[1:])
-    # M is X_0 plus every later size but the final 1.
-    evaluations = size.sum(axis=0, dtype=np.int64) + (n_unique - 1)
-    return steps, evaluations, case_order.T, pool_sizes.T
+    np.maximum(sizes, 1, out=pool_sizes[1:])
+    return case_order.T, pool_sizes.T
 
 
 class _Pools:

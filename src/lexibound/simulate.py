@@ -55,29 +55,23 @@ class RunStats:
 def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunStats:
     """Run ``trials`` independent selections (substreams 0..trials-1) and
     aggregate evaluation counts and the pool-size trajectory."""
-    total = 0
-    total_sq = 0
-    lo = None
-    hi = None
-    iterations = 0
-    columns: list[tuple[np.ndarray, int]] = []  # per block: pool-size column sums, trials
+    total = total_sq = iterations = width = profile_sums = 0
+    lo, hi = math.inf, 0
     for block in run_trials(profile, trials, rng):
         m = block.evaluations
         total += int(m.sum())
         total_sq += sum((m * m).tolist())  # exact: m <= N * C, so m * m fits int64
-        lo = int(m.min()) if lo is None else min(lo, int(m.min()))
-        hi = int(m.max()) if hi is None else max(hi, int(m.max()))
+        lo, hi = min(lo, int(m.min())), max(hi, int(m.max()))
         iterations += int(block.steps.sum())
-        columns.append((block.pool_sizes.sum(axis=0), len(m)))
+        # Pool sizes per step, each trial absorbed at 1 past its end.
+        width = max(width, int(block.steps.max()) + 1)
+        profile_sums += block.pool_size_sums()
 
     mean = total / trials
     std_error = 0.0
     if trials >= 2:
         variance = (total_sq - trials * mean * mean) / (trials - 1)
         std_error = math.sqrt(max(variance, 0.0)) / math.sqrt(trials)
-    # Trials of a block with fewer columns are absorbed at pool size 1.
-    width = max(len(sums) for sums, _ in columns)
-    profile_sums = sum(np.pad(sums, (0, width - len(sums)), constant_values=n) for sums, n in columns)
     return RunStats(
         trials=trials,
         mean_evaluations=mean,
@@ -85,7 +79,7 @@ def estimate_runtime(profile: DedupProfile, trials: int, rng: RngStream) -> RunS
         min_evaluations=lo,
         max_evaluations=hi,
         mean_iterations=iterations / trials,
-        pool_size_profile=tuple(x / trials for x in profile_sums.tolist()),
+        pool_size_profile=tuple(x / trials for x in profile_sums[:width].tolist()),
     )
 
 

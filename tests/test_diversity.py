@@ -158,6 +158,20 @@ class TestFarThreshold:
         with pytest.raises(ValueError):
             far_distance_threshold(1.2, 5)
 
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_memo_keys_on_the_exact_value(self, float_first):
+        # 0.1 == Fraction(0.1) and both hash alike, but they read as 1/10 and
+        # as the binary value just above it: one memo entry must not answer both
+        diversity._far_distance_threshold.cache_clear()
+        calls = [(0.1, 1), (Fraction(0.1), 2)]
+        for eps, threshold in (calls if float_first else calls[::-1]) * 2:
+            assert far_distance_threshold(eps, 10) == threshold
+
+    def test_out_of_range_raises_on_every_call(self):
+        for eps in (0, -0.5, 1.2, Fraction(3, 2)) * 3:
+            with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\]"):
+                far_distance_threshold(eps, 10)
+
 
 class TestSimilarityGraph:
     def test_all_pairs_maximally_distant(self):
@@ -492,6 +506,22 @@ class TestSimilarityBruteforce:
 
         prof = deduplicate(gen_adversarial_single_case(6, 10))
         assert similarity_bruteforce(prof, 0.2) == 7  # n + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 8), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_least_diameters_take_each_size_minimum(self, n, c, levels, seed):
+        # the table is, per size s, the least diameter over the s-row subsets
+        prof = deduplicate(dmatrix(np.random.default_rng(seed).integers(0, levels, (n, c))))
+        distances = pairwise_distance_matrix(prof.unique)
+        subsets = [(), *itertools.chain.from_iterable(
+            itertools.combinations(range(prof.n_unique), s) for s in range(1, prof.n_unique + 1)
+        )]
+        diameter = np.array([max((distances[a, b] for a, b in itertools.combinations(sub, 2)), default=0)
+                             for sub in subsets], dtype=distances.dtype)
+        size = np.array([len(sub) for sub in subsets])
+        expected = np.array([diameter[size == s].min() for s in range(prof.n_unique + 1)])
+        least = diversity.least_subset_diameters(prof)
+        assert least.dtype == expected.dtype and np.array_equal(least, expected)
 
     def test_rejects_large_population(self):
         prof = profile([[i] for i in range(21)])

@@ -281,6 +281,28 @@ class TestRunTrials:
         assert {t.winner_original_index for t in traces} == {0, 1, 2}
         assert all(t.pool_sizes == (1,) and t.evaluations == 0 for t in traces)
 
+    def test_single_unique_row_blocks_have_zero_width_tables(self):
+        prof = profile([[5, 5, 5]] * 3)
+        (block,) = run_trials(prof, 7, RngStream(4))
+        assert block.case_order.shape == (7, 0)
+        assert block.pool_sizes.tolist() == [[1]] * 7
+        assert block.steps.tolist() == block.evaluations.tolist() == [0] * 7
+        assert block.pool_size_sums().tolist() == [7]
+        assert block.traces() == scalar_traces(prof, 7, RngStream(4))
+
+    @pytest.mark.parametrize("block_trials", [7, 64, 4096])
+    def test_pool_size_sums_read_from_the_slots(self, block_trials):
+        prof = fast_and_slow_profile()
+        saved, engine._BLOCK_TRIALS = engine._BLOCK_TRIALS, block_trials
+        try:
+            blocks = list(run_trials(prof, 300, RngStream(9)))
+        finally:
+            engine._BLOCK_TRIALS = saved
+        for block in blocks:
+            # column sums, padded with 1 per trial to all C + 1 steps
+            padding = [len(block.steps)] * (prof.n_cases + 1 - block.pool_sizes.shape[1])
+            assert block.pool_size_sums().tolist() == block.pool_sizes.sum(axis=0).tolist() + padding
+
     def test_single_case(self):
         prof = profile([[2], [0], [1], [0]])
         traces = runner_traces(prof, 30, RngStream(8), block_trials=7)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexibound import simulate
+from lexibound import engine, simulate
 from lexibound.bounds import sweep
 from lexibound.cli import render
 from lexibound.core import RngStream, deduplicate
@@ -134,6 +134,54 @@ class TestEstimateRuntime:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             estimate_runtime(profile([[1]]), 0, RngStream(0))
+
+
+def runtime_from_traces(prof, trials, rng) -> simulate.RunStats:
+    """RunStats from every trial's built trace, trials shorter than the
+    longest padded with pool size 1."""
+    traces = [trace for block in engine.run_trials(prof, trials, rng) for trace in block.traces()]
+    m = [trace.evaluations for trace in traces]
+    width = max(len(trace.pool_sizes) for trace in traces)
+    sums = [sum(t.pool_sizes[i] if i < len(t.pool_sizes) else 1 for t in traces) for i in range(width)]
+    mean = sum(m) / trials
+    variance = (sum(x * x for x in m) - trials * mean * mean) / (trials - 1)
+    return simulate.RunStats(
+        trials=trials,
+        mean_evaluations=mean,
+        std_error=math.sqrt(max(variance, 0.0)) / math.sqrt(trials),
+        min_evaluations=min(m),
+        max_evaluations=max(m),
+        mean_iterations=sum(len(trace.case_order) for trace in traces) / trials,
+        pool_size_profile=tuple(x / trials for x in sums),
+    )
+
+
+def forbid_traces(monkeypatch):
+    """Make the runner's case-order and pool-size builder fail."""
+
+    def built(*args):
+        raise AssertionError("case orders or pool sizes were built")
+
+    monkeypatch.setattr(engine, "_traces", built)
+
+
+class TestLazyTraces:
+    """Monte Carlo readers build no case order or pool-size table."""
+
+    def test_selection_distribution_builds_no_trace(self, monkeypatch):
+        prof = profile(random_rows(8, 9, 6, 2))
+        expected = selection_distribution(prof, 3000, RngStream(6))
+        forbid_traces(monkeypatch)
+        assert np.array_equal(selection_distribution(prof, 3000, RngStream(6)), expected)
+
+    def test_estimate_runtime_equals_the_eager_path(self, monkeypatch):
+        # the simulate-blocks golden's profile and run: 400 unique rows,
+        # 3,000 trials over several blocks
+        prof = deduplicate(gen_clustered(400, 100, 8, 0.05, RngStream(3)))
+        assert prof.n_unique == 400
+        expected = runtime_from_traces(prof, 3000, RngStream(5))
+        forbid_traces(monkeypatch)
+        assert estimate_runtime(prof, 3000, RngStream(5)) == expected
 
 
 class TestSelectionDistribution:
