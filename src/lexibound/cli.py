@@ -266,6 +266,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genpop(args) -> int:
+    _check_out(args.out)
     if args.spec is not None:
         names = ("kind", "n", "c", "levels", "clusters", "spread", "seed")
         given = [name for name in names if getattr(args, name) is not None]

@@ -30,7 +30,6 @@ reference the products are tested against.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -130,16 +129,11 @@ def far_distance_threshold(epsilon, n_cases: int) -> int:
 
     Computed with exact rational arithmetic, so eps = 0.05 on C = 20 cases
     yields exactly 1 (not 2, as naive float rounding of 0.05 * 20 would give).
-    Memoised by that exact value: 0.1 equals ``Fraction(0.1)``, which is not 1/10.
     """
-    return _far_distance_threshold(exact_fraction(epsilon), n_cases)
-
-
-@functools.lru_cache(maxsize=1024)
-def _far_distance_threshold(eps, n_cases: int) -> int:
-    if not 0 < eps <= 1:
+    eps = exact_fraction(epsilon)
+    if not 0 < eps.numerator <= eps.denominator:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
-    return math.ceil(eps * n_cases)
+    return -(-eps.numerator * n_cases // eps.denominator)  # ceil, in integers: no Fraction built
 
 
 @dataclass(frozen=True)

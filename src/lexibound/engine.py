@@ -13,11 +13,12 @@ function stays the reference it is checked against. Its working rows step
 together, and a row whose trial has finished takes the next trial at once,
 so a run waits for its slowest trial rather than for the slowest of each
 block. Trials come out in blocks, in order; those that finish ahead of
-their block wait in a ring of slots a few blocks long. It filters on loss
-ranks, masking a pool's non-members by OR-ing in an all-ones value. While
-the trials share few distinct pools, each pool has one id and each move
-between pools is filtered once; either way each trial's pool is the same,
-so this never changes a result.
+their block wait in a ring of slots a few blocks long, the only store of
+their case orders and pool sizes. It filters on loss ranks, masking a
+pool's non-members by OR-ing in an all-ones value. While the trials share
+few distinct pools, each pool has one id and each move between pools is
+filtered once; either way each trial's pool is the same, so this never
+changes a result.
 
 Also houses the static-epsilon binarization variant.
 """
@@ -127,14 +128,12 @@ def lexicase_select(profile: DedupProfile, rng: RngStream) -> SelectionTrace:
 
 
 class TrialBlock:
-    """Outcomes of consecutive trials of one run, one row per trial.
+    """Outcomes of consecutive trials of one run, one column per trial.
 
-    Row b's trace is ``case_order[b, :s]`` and ``pool_sizes[b, :s + 1]``
-    with ``s = steps[b]``; past the end of a trace, ``case_order`` holds -1
-    and ``pool_sizes`` holds 1, the pool size of a finished selection.
-    The block keeps a copy of its trials' narrow case and pool-size slots,
-    step-major (see ``_lockstep``), and builds every field but the winners
-    from them when first read.
+    Holds the winners and a copy of the trials' case and pool-size slots,
+    step-major (see ``_lockstep``): column b's first ``steps[b]`` entries
+    are trial b's case order and pool sizes after each case, 0 past them.
+    ``traces`` builds each trial's ``SelectionTrace`` from these slots.
     """
 
     def __init__(self, winner_unique, winner_original, cases, sizes, n_unique):
@@ -150,32 +149,21 @@ class TrialBlock:
         # M is X_0 plus every later size but the final 1.
         return self._sizes.sum(axis=0, dtype=np.int64) + (self._n_unique - 1)
 
-    @property
-    def case_order(self) -> np.ndarray:
-        return self._built[0]
-
-    @property
-    def pool_sizes(self) -> np.ndarray:
-        return self._built[1]
-
-    @cached_property
-    def _built(self):
-        width = int(self.steps.max())
-        return _traces(self._cases[:width], self._sizes[:width], self._n_unique)
-
     def pool_size_sums(self) -> np.ndarray:
-        """Column sums of ``pool_sizes`` padded with 1 to all C + 1 steps,
-        read from the slots: N per trial, then each step's sizes or 1."""
+        """Column sums of the trials' pool-size trajectories padded with 1 to
+        all C + 1 steps: N per trial, then each step's sizes or 1."""
         sums = np.maximum(self._sizes, 1).sum(axis=1, dtype=np.int64)
         return np.concatenate(([self._n_unique * self._sizes.shape[1]], sums))
 
     def traces(self) -> list[SelectionTrace]:
+        width = int(self.steps.max())
+        cases, sizes = self._cases[:width].T.tolist(), self._sizes[:width].T.tolist()
         return [
             SelectionTrace(
                 winner_unique_index=int(self.winner_unique[b]),
                 winner_original_index=int(self.winner_original[b]),
-                case_order=tuple(self.case_order[b, :s].tolist()),
-                pool_sizes=tuple(self.pool_sizes[b, : s + 1].tolist()),
+                case_order=tuple(cases[b][:s]),
+                pool_sizes=(self._n_unique, *sizes[b][:s]),
                 evaluations=int(self.evaluations[b]),
             )
             for b, s in enumerate(self.steps.tolist())
@@ -248,6 +236,10 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     ``_RING_BLOCKS`` x ``rows`` trials past the start of the oldest block
     not yet yielded. So the outputs held, C one- or two-byte case and
     pool-size entries per slot, stay a fixed multiple of the block size.
+    Every slot is set once at the start: every case undrawn, and the start
+    states of trials 0..window-1. A yielded block's slots are then reset
+    and seeded for the trials ``window`` later; a block never wraps, as
+    ``window`` is a multiple of ``rows`` or holds every trial.
     While the oldest block waits for a straggler, rows that no trial may
     take leave the working arrays, and rejoin once it is yielded.
 
@@ -265,32 +257,22 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
         return
     window = min(trials, _RING_BLOCKS * rows)
     # Entry k of slot i is column i of row k: a block's slots are a column range.
-    remaining = np.zeros((n_cases, window), dtype=np.min_scalar_type(n_cases - 1))
+    cases = np.arange(n_cases, dtype=np.min_scalar_type(n_cases - 1))[:, None]
+    remaining = np.repeat(cases, window, axis=1)
     sizes = np.zeros((n_cases, window), dtype=np.min_scalar_type(n_unique))
     winners = np.zeros(window, dtype=np.min_scalar_type(n_unique - 1))
-    ring_states = np.zeros(window, dtype=np.uint64)  # start states, then final ones
+    ring_states = rng.substream_states(0, window)  # start states, then final ones
     finished = np.zeros(_RING_BLOCKS, dtype=np.intp)  # per block of slots
     flat_remaining, flat_sizes = remaining.reshape(-1), sizes.reshape(-1)
-    cases = np.arange(n_cases, dtype=remaining.dtype)[:, None]
     slot = last = pid = np.zeros(0, dtype=np.intp)
     states = left = np.zeros(0, dtype=np.uint64)
     pools, masks = _Pools(by_case), None
-    start = admitted = seeded = 0  # first trial of the oldest block not yet yielded, not started, not seeded
+    start = admitted = 0  # first trial of the oldest block not yet yielded, and not started
     free = slot  # working rows whose trial has finished
     while True:
         count = min(free.size + rows - slot.size, min(trials, start + window) - admitted)
         if count:
-            while seeded < admitted + count:  # a block's start states, once it may start
-                stop = min(trials, seeded + rows)
-                ring_states[seeded % window : seeded % window + stop - seeded] = rng.substream_states(seeded, stop)
-                seeded = stop
-            first = admitted % window  # the new slots: first.., wrapping to 0..
-            for ring in (slice(first, first + count), slice(0, max(0, first + count - window))):
-                remaining[:, ring] = cases
-                sizes[:, ring] = 0
-            new = np.arange(first, first + count)
-            if first + count > window:
-                new %= window
+            new = np.arange(admitted, admitted + count) % window
             taken = free[:count]
             slot, last = _refill(slot, taken, new), _refill(last, taken, new + (n_cases - 1) * window)
             states = _refill(states, taken, ring_states[new])
@@ -336,6 +318,10 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
             finished[start // rows % _RING_BLOCKS] = 0
             ring = slice(start % window, start % window + min(rows, trials - start))
             yield winners[ring].astype(np.intp), ring_states[ring].copy(), remaining[::-1, ring].copy(), sizes[::-1, ring].copy()
+            remaining[:, ring] = cases  # the slots pass to the trials a window later
+            sizes[:, ring] = 0
+            later = rng.substream_states(start + window, min(trials, start + window + rows))
+            ring_states[ring][: len(later)] = later
             start += rows
 
 
@@ -343,17 +329,6 @@ def _refill(column: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndar
     """``column`` with ``values`` written to ``rows`` and the rest appended."""
     column[rows] = values[: len(rows)]
     return np.concatenate((column, values[len(rows) :])) if len(values) > len(rows) else column
-
-
-def _traces(cases: np.ndarray, sizes: np.ndarray, n_unique: int):
-    """Case orders and pool sizes, as ``TrialBlock`` holds them, from a block's
-    slots up to its longest trace, built step-major and returned transposed."""
-    case_order = cases.astype(np.int32)
-    case_order -= (case_order + 1) * (sizes == 0)  # -1 past a trace
-    pool_sizes = np.empty((len(sizes) + 1, sizes.shape[1]), dtype=np.int32)
-    pool_sizes[0] = n_unique
-    np.maximum(sizes, 1, out=pool_sizes[1:])
-    return case_order.T, pool_sizes.T
 
 
 class _Pools:

@@ -164,6 +164,9 @@ class TestGoldenOutput:
         "simulate-blocks.json": [
             "simulate", "blocks.csv", "--trials", "3000", "--seed", "5", "--check-bound", "--epsilon", "0.15",
         ],
+        # the default 10,000 trials: 10 blocks over a ring of 3, so every
+        # slot is reset and passed on to the trials a ring later
+        "simulate-default.json": ["simulate", "blocks.csv", "--seed", "5", "--check-bound", "--epsilon", "0.15"],
     }
 
     @pytest.fixture
@@ -323,17 +326,19 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["analyze", "sweep-run", "simulate", "simulate-check"])
+    @pytest.mark.parametrize("command", ["genpop", "analyze", "sweep-run", "simulate", "simulate-check"])
     @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
     def test_unwritable_out_fails_before_any_work(self, command, target, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("ran work before checking --out")
 
+        monkeypatch.setattr("lexibound.popgen.generate", never)
         monkeypatch.setattr("lexibound.bounds.sweep", never)
         monkeypatch.setattr("lexibound.simulate.estimate_runtime", never)
         (tmp_path / "gen_0.csv").write_text("0,1\n1,0\n1,1\n")
         matrix = str(tmp_path / "gen_0.csv")
         argv = {
+            "genpop": ["genpop", "--kind", "two_cluster", "--n", "6", "--c", "10"],
             "analyze": ["analyze", matrix],
             "sweep-run": ["sweep-run", str(tmp_path)],
             "simulate": ["simulate", matrix, "--trials", "10"],
@@ -343,6 +348,7 @@ class TestInputErrors:
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"lexibound: error: --out {out}: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "gen_0.csv"]
 
     @pytest.mark.parametrize(
         "spec",

@@ -161,8 +161,7 @@ class TestFarThreshold:
     @pytest.mark.parametrize("float_first", [True, False])
     def test_memo_keys_on_the_exact_value(self, float_first):
         # 0.1 == Fraction(0.1) and both hash alike, but they read as 1/10 and
-        # as the binary value just above it: one memo entry must not answer both
-        diversity._far_distance_threshold.cache_clear()
+        # as the binary value just above it, whose thresholds differ
         calls = [(0.1, 1), (Fraction(0.1), 2)]
         for eps, threshold in (calls if float_first else calls[::-1]) * 2:
             assert far_distance_threshold(eps, 10) == threshold

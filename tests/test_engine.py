@@ -284,11 +284,11 @@ class TestRunTrials:
     def test_single_unique_row_blocks_have_zero_width_tables(self):
         prof = profile([[5, 5, 5]] * 3)
         (block,) = run_trials(prof, 7, RngStream(4))
-        assert block.case_order.shape == (7, 0)
-        assert block.pool_sizes.tolist() == [[1]] * 7
+        traces = block.traces()
+        assert [(t.case_order, t.pool_sizes) for t in traces] == [((), (1,))] * 7
         assert block.steps.tolist() == block.evaluations.tolist() == [0] * 7
         assert block.pool_size_sums().tolist() == [7]
-        assert block.traces() == scalar_traces(prof, 7, RngStream(4))
+        assert traces == scalar_traces(prof, 7, RngStream(4))
 
     @pytest.mark.parametrize("block_trials", [7, 64, 4096])
     def test_pool_size_sums_read_from_the_slots(self, block_trials):
@@ -299,9 +299,9 @@ class TestRunTrials:
         finally:
             engine._BLOCK_TRIALS = saved
         for block in blocks:
-            # column sums, padded with 1 per trial to all C + 1 steps
-            padding = [len(block.steps)] * (prof.n_cases + 1 - block.pool_sizes.shape[1])
-            assert block.pool_size_sums().tolist() == block.pool_sizes.sum(axis=0).tolist() + padding
+            # the traces' pool sizes summed per step, each padded with 1 to all C + 1 steps
+            padded = [t.pool_sizes + (1,) * (prof.n_cases + 1 - len(t.pool_sizes)) for t in block.traces()]
+            assert block.pool_size_sums().tolist() == [sum(step) for step in zip(*padded)]
 
     def test_single_case(self):
         prof = profile([[2], [0], [1], [0]])

@@ -110,10 +110,10 @@ class TestEstimateRuntime:
         positions = []
         from lexibound.engine import run_trials
 
-        # trial i is lexicase_select(prof, RngStream(3).substream(i)); rows are
-        # padded with pool size 1 past a trace's end, after its first shrink
+        # trial i is lexicase_select(prof, RngStream(3).substream(i)); each
+        # trace ends at pool size 1, after its first shrink
         for block in run_trials(prof, 20_000, RngStream(3)):
-            for sizes in block.pool_sizes.tolist():
+            for sizes in (trace.pool_sizes for trace in block.traces()):
                 first = next(t for t in range(1, len(sizes)) if sizes[t] < sizes[0])
                 positions.append(first)
         mean = sum(positions) / len(positions)
@@ -157,16 +157,16 @@ def runtime_from_traces(prof, trials, rng) -> simulate.RunStats:
 
 
 def forbid_traces(monkeypatch):
-    """Make the runner's case-order and pool-size builder fail."""
+    """Make the runner's trace builder fail."""
 
     def built(*args):
-        raise AssertionError("case orders or pool sizes were built")
+        raise AssertionError("per-trial traces were built")
 
-    monkeypatch.setattr(engine, "_traces", built)
+    monkeypatch.setattr(engine.TrialBlock, "traces", built)
 
 
 class TestLazyTraces:
-    """Monte Carlo readers build no case order or pool-size table."""
+    """Monte Carlo readers build no per-trial trace."""
 
     def test_selection_distribution_builds_no_trace(self, monkeypatch):
         prof = profile(random_rows(8, 9, 6, 2))
