@@ -287,20 +287,9 @@ def cmd_genpop(args) -> int:
     else:
         if args.kind is None or args.n is None or args.c is None:
             raise ValueError("either --spec or all of --kind/--n/--c are required")
-        params = {}
-        if args.levels is not None:
-            params["levels"] = args.levels
-        if args.clusters is not None:
-            params["clusters"] = args.clusters
-        if args.spread is not None:
-            params["spread"] = args.spread
-        spec = popgen.GenSpec(
-            kind=popgen.GenKind(args.kind),
-            n=args.n,
-            c=args.c,
-            seed=None if args.seed is None else _check_seed(args.seed),
-            params=params,
-        )
+        params = {name: getattr(args, name) for name in ("levels", "clusters", "spread") if getattr(args, name) is not None}
+        seed = None if args.seed is None else _check_seed(args.seed)
+        spec = popgen.GenSpec(popgen.GenKind(args.kind), args.n, args.c, seed, params)
         matrix = popgen.generate(spec)
     write_matrix_csv(matrix, args.out)
     print(

@@ -336,16 +336,19 @@ def least_subset_diameters(profile: DedupProfile) -> np.ndarray:
     """Entry s is the least diameter, the largest distance inside, over all
     s-row subsets of the unique rows (0 for s <= 1), for s = 0..N_unique.
 
-    Exhaustive set-form oracle, independent of the clique solver: one numpy
-    pass builds the diameter of each of the 2^N subsets from the subset
-    without its highest row, and one more takes the least per size, in
-    O(2^N * N) (about 8 ms at N = 20, 2 vCPU). Rejects N_unique > 20, and
-    real losses, which need a delta.
+    Exhaustive set-form oracle, independent of the clique solver and of the
+    distance kernels, as it compares the rows directly: one numpy pass
+    builds the diameter of each of the 2^N subsets from the subset without
+    its highest row, and one more takes the least per size, in O(2^N * N)
+    (about 8 ms at N = 20, 2 vCPU). Rejects N_unique > 20, and real losses,
+    which need a delta.
     """
     n = profile.n_unique
     if n > _BRUTEFORCE_LIMIT:
         raise ValueError(f"bruteforce oracle limited to {_BRUTEFORCE_LIMIT} rows, got {n}")
-    distances = pairwise_distance_matrix(profile.unique)
+    _resolve_delta(profile.unique.kind, None)
+    losses = profile.unique.losses
+    distances = (losses[:, None] != losses).sum(axis=2, dtype=np.int32)
     diameter = np.zeros(1 << n, dtype=distances.dtype)
     size = np.zeros(1 << n, dtype=np.int8)
     for v in range(n):

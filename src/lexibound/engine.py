@@ -15,10 +15,10 @@ so a run waits for its slowest trial rather than for the slowest of each
 block. Trials come out in blocks, in order; those that finish ahead of
 their block wait in a ring of slots a few blocks long, the only store of
 their case orders and pool sizes. It filters on loss ranks, masking a
-pool's non-members by OR-ing in an all-ones value. While the trials share
-few distinct pools, each pool has one id and each move between pools is
-filtered once; either way each trial's pool is the same, so this never
-changes a result.
+pool's non-members by OR-ing in an all-ones value. Each working row holds
+one pool entry: while the trials share few distinct pools, a pool id, each
+move between pools filtered once; after that, the row's own mask. Either
+way each trial's pool is the same, so this never changes a result.
 
 Also houses the static-epsilon binarization variant.
 """
@@ -223,10 +223,11 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     (see ``_narrow_losses``). Trial i owns slot i mod ``window``: column
     i mod ``window`` of ``remaining`` and ``sizes``, C entries each. A
     working row holds one running trial: its slot, stream state, undrawn
-    case count ``left`` and ``last``, the flat index of its last undrawn
-    case. A draw swaps the drawn case with that last one, as lexicase_select
-    swap-removes it, so the slot's end holds the case order backwards, and
-    ``sizes`` the pool size after each step at the same places (0 elsewhere).
+    case count ``left`` and pool. A draw swaps the drawn case with the
+    slot's last undrawn one, at flat index ``(left - 1) * window + slot``,
+    as lexicase_select swap-removes it, so the slot's end holds the case
+    order backwards, and ``sizes`` the pool size after each step at the
+    same places (0 elsewhere).
     When a trial's pool reaches one row, its working row takes the next
     trial at once, with its own stream state, the full pool and every case
     undrawn; so while trials remain no row is idle, and a run waits for one
@@ -243,10 +244,11 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     While the oldest block waits for a straggler, rows that no trial may
     take leave the working arrays, and rejoin once it is yielded.
 
-    Rows share pool ids (``pid``, see ``_Pools``) until a step would filter
-    more new moves than a quarter of the working rows, about the cost of
-    filtering every row, or could add more pools than rows; from then on
-    ``pid`` is None and ``masks`` holds each working row's own pool.
+    ``pool`` holds each row's pool id (see ``_Pools``) while rows share
+    pools, until a step would filter more new moves than a quarter of the
+    working rows, about the cost of filtering every row, or could add more
+    pools than rows; from then on it holds each row's own mask row. In both
+    forms zeros are the full pool, so rows join and leave alike.
     """
     n_cases, n_unique = by_case.shape
     if n_unique == 1:  # every pool starts at one row: no trial draws a case
@@ -264,9 +266,9 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     ring_states = rng.substream_states(0, window)  # start states, then final ones
     finished = np.zeros(_RING_BLOCKS, dtype=np.intp)  # per block of slots
     flat_remaining, flat_sizes = remaining.reshape(-1), sizes.reshape(-1)
-    slot = last = pid = np.zeros(0, dtype=np.intp)
-    states = left = np.zeros(0, dtype=np.uint64)
-    pools, masks = _Pools(by_case), None
+    slot = left = pool = np.zeros(0, dtype=np.intp)
+    states = np.zeros(0, dtype=np.uint64)
+    pools = _Pools(by_case)
     start = admitted = 0  # first trial of the oldest block not yet yielded, and not started
     free = slot  # working rows whose trial has finished
     while True:
@@ -274,44 +276,35 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
         if count:
             new = np.arange(admitted, admitted + count) % window
             taken = free[:count]
-            slot, last = _refill(slot, taken, new), _refill(last, taken, new + (n_cases - 1) * window)
-            states = _refill(states, taken, ring_states[new])
-            left = _refill(left, taken, np.full(count, n_cases, dtype=np.uint64))
-            if pid is None:
-                masks = _refill(masks, taken, np.zeros((count, n_unique), dtype=masks.dtype))
-            else:
-                pid = _refill(pid, taken, np.zeros(count, dtype=np.intp))
+            slot, states = _refill(slot, taken, new), _refill(states, taken, ring_states[new])
+            left = _refill(left, taken, np.full(count, n_cases, dtype=np.intp))
+            pool = _refill(pool, taken, np.zeros((count, *pool.shape[1:]), pool.dtype))
             admitted += count
         if free.size > count:  # no trial may take these rows yet
             keep = np.ones(slot.size, dtype=bool)
             keep[free[count:]] = False
-            slot, last, states, left = slot[keep], last[keep], states[keep], left[keep]
-            if pid is None:
-                masks = masks[keep]
-            else:
-                pid = pid[keep]
+            slot, states, left, pool = slot[keep], states[keep], left[keep], pool[keep]
         if not slot.size:
             return
 
+        last = (left - 1) * window + slot
         cell = randbelow_array(states, left) * window + slot
         case = flat_remaining[cell]
         flat_remaining[cell] = flat_remaining[last]
         flat_remaining[last] = case
-        moved = None if pid is None else pools.move(pid, case, min(slot.size // 4, rows - len(pools.masks)))
+        moved = pools.move(pool, case, min(slot.size // 4, rows - len(pools.masks))) if pool.ndim == 1 else None
         if moved is None:
-            masks, size = _elite_filter(by_case, masks if pid is None else pools.masks[pid], case)
+            pool, size = _elite_filter(by_case, pools.masks[pool] if pool.ndim == 1 else pool, case)
         else:
-            size = pools.sizes[moved]
-        pid = moved
+            pool, size = moved, pools.sizes[moved]
         flat_sizes[last] = size
-        last -= window
-        left -= np.uint64(1)
+        left -= 1
 
         free = np.flatnonzero(size == 1)
         if not free.size:
             continue
         done = slot[free]
-        winners[done] = (masks[free] == 0).argmax(axis=1) if pid is None else pools.winners[pid[free]]
+        winners[done] = pools.winners[pool[free]] if pool.ndim == 1 else (pool[free] == 0).argmax(axis=1)
         ring_states[done] = states[free]
         finished += np.bincount(done // rows, minlength=_RING_BLOCKS)
         while start < trials and finished[start // rows % _RING_BLOCKS] == min(rows, trials - start):

@@ -70,7 +70,7 @@ class GenSpec:
 
     ``params`` holds the kind-specific knobs: ``levels`` for random_uniform,
     ``clusters``/``spread`` for clustered. Only those two kinds read ``seed``;
-    None, the default, means 0 for them. Serializes to/from JSON.
+    None, the default, means 0 for them. ``from_json`` reads one from JSON.
     """
 
     kind: GenKind

@@ -159,7 +159,7 @@ class TestFarThreshold:
             far_distance_threshold(1.2, 5)
 
     @pytest.mark.parametrize("float_first", [True, False])
-    def test_memo_keys_on_the_exact_value(self, float_first):
+    def test_threshold_reads_the_exact_value(self, float_first):
         # 0.1 == Fraction(0.1) and both hash alike, but they read as 1/10 and
         # as the binary value just above it, whose thresholds differ
         calls = [(0.1, 1), (Fraction(0.1), 2)]

@@ -281,7 +281,7 @@ class TestRunTrials:
         assert {t.winner_original_index for t in traces} == {0, 1, 2}
         assert all(t.pool_sizes == (1,) and t.evaluations == 0 for t in traces)
 
-    def test_single_unique_row_blocks_have_zero_width_tables(self):
+    def test_single_unique_row_blocks_have_empty_traces(self):
         prof = profile([[5, 5, 5]] * 3)
         (block,) = run_trials(prof, 7, RngStream(4))
         traces = block.traces()
@@ -333,11 +333,17 @@ class TestRunTrials:
         # so working rows take new trials at almost every step; with 10 rows,
         # the oldest block's straggler keeps trials of the fourth block from
         # starting, and the rows it frees rejoin once that block is yielded.
+        # Rows join and leave per-trial masks with 10 rows, shared ids with 500.
         prof = fast_and_slow_profile()
         rng = RngStream(3)
         trials = 4 * block_trials
         expected = scalar_traces(prof, trials, rng)
-        assert runner_traces(prof, trials, rng, block_trials) == expected
+        with counted_filters() as counts:
+            assert runner_traces(prof, trials, rng, block_trials) == expected
+        if block_trials == 10:
+            assert counts["shared"] == 0 and counts["per_trial"] > 0
+        else:
+            assert counts["per_trial"] == 0 and counts["shared"] > 0
         steps = [len(trace.case_order) for trace in expected]
         assert min(steps) == 1 and 2 * (steps.count(1) + steps.count(2)) > trials and max(steps) >= 8
         # each trial's state after its case draws, which the clone tie-break reads
