@@ -235,7 +235,7 @@ def cmd_simulate(args) -> int:
                 "selection needs discrete losses; pass --binarize-mad to apply "
                 "the static-epsilon transform with per-case MAD thresholds"
             )
-        matrix = engine.static_epsilon_binarize(matrix, engine.mad_thresholds(matrix))
+        matrix = engine.static_epsilon_binarize(matrix)
     profile = deduplicate(matrix)
     # The sweep runs first, so an epsilon that overflows 4N/eps fails before the trials.
     reports = bounds.sweep(profile, grid, 0.0, args.budget) if args.check_bound else None
@@ -317,7 +317,7 @@ def _oracle_fixtures(seed: int, fault: bool):
     for i, (name, profile) in enumerate(profiles):
         # The elite-filter fault samples from floor-halved losses, where
         # losses one apart can tie; the oracle keeps the true profile.
-        sampled = deduplicate(ErrorMatrix(np.floor(profile.expand_rows() / 2))) if fault else profile
+        sampled = deduplicate(ErrorMatrix(np.floor(profile.unique.losses[profile.unique_index] / 2))) if fault else profile
         yield name, profile, sampled, RngStream(seed).substream(i)
 
 

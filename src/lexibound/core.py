@@ -191,15 +191,6 @@ class DedupProfile:
     def n_cases(self) -> int:
         return self.unique.n_cases
 
-    def expand_rows(self) -> np.ndarray:
-        """Reconstruct the original N x C loss table."""
-        return self.unique.losses[self.unique_index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DedupProfile):
-            return NotImplemented
-        return self.unique == other.unique and np.array_equal(self.unique_index, other.unique_index)
-
 
 def deduplicate(matrix: ErrorMatrix) -> DedupProfile:
     """Collapse behavioral clones: one row per distinct loss vector.

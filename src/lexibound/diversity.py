@@ -299,9 +299,9 @@ def clique_number(
     the previous, smaller threshold). A larger start only prunes, so it never
     widens the bracket or adds nodes. A start above the root coloring bound
     raises ValueError, since no clique is that large; one at or below that
-    bound is taken on trust. When the greedy clique meets the root
-    coloring bound, as on a disjoint union of cliques, the answer is exact
-    with no search. When the budget runs out the result brackets the true
+    bound is taken on trust. When the start meets the root coloring
+    bound, as on a disjoint union of cliques, the search ends at its root:
+    exact, with 0 nodes. When the budget runs out the result brackets the true
     value: the best clique found below, the root coloring bound above.
     """
     if node_budget < 1:
@@ -318,15 +318,10 @@ def clique_number(
     upper = max(root_colors)
     if lower_bound > upper:
         raise ValueError(f"lower_bound {lower_bound} exceeds the coloring bound {upper}: no clique is that large")
-    lower = max(lower_bound, _greedy_clique(adj))
-    nodes, exhausted = 0, False
-    if lower < upper:
-        lower, nodes, exhausted = _search(adj, root_order, root_colors, lower, node_budget)
-    if not exhausted:
-        upper = lower
+    lower, nodes, exhausted = _search(adj, root_order, root_colors, max(lower_bound, _greedy_clique(adj)), node_budget)
     return SimilarityResult(
         alpha_lower=lower,
-        alpha_upper=upper,
+        alpha_upper=upper if exhausted else lower,
         exact=not exhausted,
         search_nodes=nodes,
     )

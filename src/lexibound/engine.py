@@ -9,16 +9,8 @@ per (pool member, drawn case) pair, including the final filter to one.
 
 :func:`run_trials` runs many such selections in lockstep with numpy, each
 bit-identical to :func:`lexicase_select` on its own substream; the scalar
-function stays the reference it is checked against. Its working rows step
-together, and a row whose trial has finished takes the next trial at once,
-so a run waits for its slowest trial rather than for the slowest of each
-block. Trials come out in blocks, in order; those that finish ahead of
-their block wait in a ring of slots a few blocks long, the only store of
-their case orders and pool sizes. It filters on loss ranks, masking a
-pool's non-members by OR-ing in an all-ones value. Each working row holds
-one pool entry: while the trials share few distinct pools, a pool id, each
-move between pools filtered once; after that, the row's own mask. Either
-way each trial's pool is the same, so this never changes a result.
+function stays the reference it is checked against. ``_lockstep``'s
+docstring describes how.
 
 Also houses the static-epsilon binarization variant.
 """
@@ -387,21 +379,16 @@ def _count_dtype(n_unique: int) -> type:
     return np.uint16 if n_unique <= 1 << 16 else np.int32
 
 
-def static_epsilon_binarize(matrix: ErrorMatrix, thresholds) -> ErrorMatrix:
-    """Binarize real losses against per-case elite thresholds.
+def static_epsilon_binarize(matrix: ErrorMatrix) -> ErrorMatrix:
+    """Binarize real losses by the static-epsilon rule.
 
-    Output entry is 0 when the loss is within ``thresholds[c]`` of the
-    population-wide minimum on case c, else 1; the result is DISCRETE and
-    ready for deduplication and selection.
+    Output entry is 0 when the loss is within case c's median absolute
+    deviation (:func:`mad_thresholds`) of the population-wide minimum on
+    case c, else 1; the result is DISCRETE and ready for deduplication and
+    selection.
     """
     matrix.require_kind(LossKind.REAL, "static_epsilon_binarize")
-    thr = np.asarray(thresholds, dtype=np.float64)
-    if thr.shape != (matrix.n_cases,):
-        raise ValueError(f"expected {matrix.n_cases} thresholds, got shape {thr.shape}")
-    if (thr < 0).any():
-        raise ValueError("thresholds must be non-negative")
-    col_min = matrix.losses.min(axis=0)
-    binary = np.where(matrix.losses <= col_min + thr, 0.0, 1.0)
+    binary = np.where(matrix.losses <= matrix.losses.min(axis=0) + mad_thresholds(matrix), 0.0, 1.0)
     return ErrorMatrix(binary, kind=LossKind.DISCRETE)
 
 

@@ -290,28 +290,27 @@ def generate(spec: GenSpec) -> ErrorMatrix:
     Params are converted to the types their kind reads, with defaults for
     absent ones; a param or seed the kind does not read is an error, not ignored.
     """
-    if spec.seed is not None and spec.kind not in _KIND_PARAMS:
-        raise ValueError(f"invalid GenSpec: {spec.kind.value} reads no seed")
-    known = _KIND_PARAMS.get(spec.kind, {})
+    kind = GenKind(spec.kind)
+    if spec.seed is not None and kind not in _KIND_PARAMS:
+        raise ValueError(f"invalid GenSpec: {kind.value} reads no seed")
+    known = _KIND_PARAMS.get(kind, {})
     unknown = [key for key in spec.params if key not in known]
     if unknown:
         reads = ", ".join(known) or "none"
-        raise ValueError(f"invalid GenSpec: {spec.kind.value} reads no param {unknown[0]!r} (params: {reads})")
+        raise ValueError(f"invalid GenSpec: {kind.value} reads no param {unknown[0]!r} (params: {reads})")
     params = {}
-    for key, (kind, default) in known.items():
+    for key, (cast, default) in known.items():
         value = spec.params.get(key, default)
         try:
-            params[key] = _as_int(value, key) if kind is int else kind(value)
+            params[key] = _as_int(value, key) if cast is int else cast(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid GenSpec param {key!r}: {exc}") from None
-    if spec.kind is GenKind.ADVERSARIAL_SINGLE_CASE:
+    if kind is GenKind.ADVERSARIAL_SINGLE_CASE:
         return gen_adversarial_single_case(spec.n, spec.c)
-    if spec.kind is GenKind.LOG_BINARY:
+    if kind is GenKind.LOG_BINARY:
         return gen_log_binary(spec.n, spec.c)
-    if spec.kind is GenKind.TWO_CLUSTER:
+    if kind is GenKind.TWO_CLUSTER:
         return gen_two_cluster(spec.n, spec.c)
-    if spec.kind is GenKind.RANDOM_UNIFORM:
+    if kind is GenKind.RANDOM_UNIFORM:
         return gen_random_uniform(spec.n, spec.c, params["levels"], RngStream(spec.seed or 0))
-    if spec.kind is GenKind.CLUSTERED:
-        return gen_clustered(spec.n, spec.c, params["clusters"], params["spread"], RngStream(spec.seed or 0))
-    raise ValueError(f"unknown generator kind: {spec.kind}")
+    return gen_clustered(spec.n, spec.c, params["clusters"], params["spread"], RngStream(spec.seed or 0))

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from lexibound import cli
+from lexibound import bounds, cli
 from lexibound.core import RngStream, deduplicate, read_matrix_csv, write_matrix_csv
 from lexibound.diversity import similarity_bruteforce
 from lexibound.popgen import gen_clustered, gen_random_uniform, gen_two_cluster
@@ -266,6 +267,22 @@ class TestAnalyze:
         assert run(["analyze", str(matrix_path)]) == 2
         err = capsys.readouterr().err
         assert "m.csv.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ("{kind: real}", "invalid JSON descriptor"),
+            ('{"kind": "integer"}', "descriptor kind must be 'discrete' or 'real'"),
+        ],
+        ids=["invalid-json", "unknown-kind"],
+    )
+    def test_bad_sidecar_exits_2(self, descriptor, message, tmp_path, capsys):
+        matrix_path = tmp_path / "m.csv"
+        matrix_path.write_text("0,1\n1,0\n")
+        (tmp_path / "m.csv.json").write_text(descriptor)
+        assert run(["analyze", str(matrix_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lexibound: error: {tmp_path / 'm.csv.json'}: {message}")
 
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.csv"
@@ -642,6 +659,19 @@ class TestSweepRun:
         assert captured.err == f"lexibound: error: {both} are both generation 1\n"
         assert captured.out == ""
 
+    def test_require_exact_budget_exit_3(self, tmp_path, capsys):
+        self._write_generations(tmp_path, [gen_random_uniform(30, 6, 2, RngStream(3))])
+        assert run(["sweep-run", str(tmp_path), "--budget", "1", "--require-exact"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "lexibound: error: clique budget exhausted in at least one generation\n"
+        assert captured.out == ""
+
+    def test_regular_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "gen_0.csv"
+        write_matrix_csv(gen_two_cluster(6, 10), path)
+        assert run(["sweep-run", str(path)]) == 2
+        assert capsys.readouterr().err == f"lexibound: error: not a directory: {path}\n"
+
     def test_generation_index_is_ascii_digits(self, tmp_path, capsys):
         # "\u0661" is ARABIC-INDIC DIGIT ONE, which int() and \d read as 1
         for name in ("gen_0.csv", "gen_\u0661.csv"):
@@ -673,6 +703,18 @@ class TestSimulate:
         checks = payload["bound_checks"]
         assert len(checks) == 12
         assert all(entry["satisfied"] for entry in checks)
+
+    def test_check_bound_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        matrix_path = tmp_path / "tc.csv"
+        run(["genpop", "--kind", "two_cluster", "--n", "8", "--c", "12", "--out", str(matrix_path)])
+        real_sweep = bounds.sweep
+        monkeypatch.setattr(bounds, "sweep", lambda *args: [replace(r, total=1.0) for r in real_sweep(*args)])
+        capsys.readouterr()
+        assert run(["simulate", str(matrix_path), "--trials", "200", "--check-bound", "--epsilon", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("lexibound: error: bound violated at epsilon [0.5]")
+        checks = json.loads(captured.out)["bound_checks"]
+        assert [(c["bound"], c["satisfied"]) for c in checks] == [(1.0, False)]
 
     def test_determinism(self, tmp_path, capsys):
         matrix_path = tmp_path / "r.csv"

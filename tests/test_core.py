@@ -50,6 +50,15 @@ class TestErrorMatrix:
         with pytest.raises(MatrixError):
             rmatrix([[0.0, float("inf")]])
 
+    def test_rejects_three_dimensions(self):
+        with pytest.raises(MatrixError, match="2-dimensional"):
+            ErrorMatrix(np.zeros((2, 2, 2)))
+
+    def test_rejects_discrete_entries_beyond_exact_integers(self):
+        ErrorMatrix(np.array([[2.0**53]]))  # the largest exact magnitude is fine
+        with pytest.raises(MatrixError, match="exceed exact float64 integer range"):
+            ErrorMatrix(np.array([[0.0, 2.0**53 + 2]]))
+
     def test_discrete_requires_integers(self):
         with pytest.raises(MatrixError):
             dmatrix([[0.5, 1.0]])
@@ -111,7 +120,7 @@ class TestDeduplicate:
         assert again.unique == prof.unique
         assert again.unique_index.tolist() == list(range(prof.n_unique))
         # expanding reproduces the original rows, in place
-        expanded = prof.expand_rows()
+        expanded = prof.unique.losses[prof.unique_index]
         assert expanded.tolist() == [[float(v) for v in r] for r in rows]
         for i, u in enumerate(prof.unique_index):
             assert (expanded[i] == prof.unique.losses[u]).all()

@@ -213,6 +213,14 @@ class TestSimilarityGraph:
             SimilarityGraph(2, adj)
 
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="adjacency shape"):
+            SimilarityGraph(3, np.zeros((2, 2), dtype=bool))
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loops"):
+            SimilarityGraph(2, np.eye(2, dtype=bool))
+
 class TestCliqueNumber:
     def test_empty_graph(self):
         g = SimilarityGraph(5, np.zeros((5, 5), bool))

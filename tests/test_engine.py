@@ -432,47 +432,44 @@ class TestRankCodes:
 
 class TestBinarize:
     def test_definition_example(self):
-        m = rmatrix([[1.0], [1.05], [2.0]])
-        out = static_epsilon_binarize(m, [0.1])
+        m = rmatrix([[1.0], [1.05], [2.0]])  # median 1.05, MAD 0.05
+        out = static_epsilon_binarize(m)
         assert out.losses.tolist() == [[0], [0], [1]]
         assert out.kind is LossKind.DISCRETE
 
     def test_zero_thresholds_mark_minimizers(self):
         m = rmatrix([[1.0, 4.0], [2.0, 4.0], [1.0, 5.0]])
-        out = static_epsilon_binarize(m, [0.0, 0.0])
+        assert mad_thresholds(m).tolist() == [0.0, 0.0]
+        out = static_epsilon_binarize(m)
         indicator = (m.losses != m.losses.min(axis=0)).astype(float)
         assert np.array_equal(out.losses, indicator)
 
     def test_random_matrix_against_column_scan(self):
         src = RngStream(31).source()
         values = [[src.random() * 10 for _ in range(4)] for _ in range(5)]
-        m = rmatrix(values)
-        thresholds = [0.5, 1.0, 0.0, 2.0]
-        out = static_epsilon_binarize(m, thresholds)
+        out = static_epsilon_binarize(rmatrix(values))
+        near = 0
         for c in range(4):
-            col_min = min(row[c] for row in values)
+            column = [row[c] for row in values]
+            median = sorted(column)[2]  # 5 rows: the middle one, exactly
+            mad = sorted(abs(v - median) for v in column)[2]
             for i in range(5):
-                expected = 0.0 if values[i][c] <= col_min + thresholds[c] else 1.0
+                expected = 0.0 if values[i][c] <= min(column) + mad else 1.0
                 assert out.losses[i, c] == expected
+                near += expected == 0.0 and values[i][c] != min(column)
+        assert near  # the MAD admits some non-minimizer
 
     def test_rejects_discrete_input(self):
         with pytest.raises(KindMismatchError):
-            static_epsilon_binarize(dmatrix([[0, 1]]), [0.0, 0.0])
-
-    def test_rejects_negative_thresholds(self):
-        with pytest.raises(ValueError):
-            static_epsilon_binarize(rmatrix([[0.5, 1.0]]), [0.1, -0.1])
-
-    def test_rejects_wrong_threshold_count(self):
-        with pytest.raises(ValueError):
-            static_epsilon_binarize(rmatrix([[0.5, 1.0]]), [0.1])
+            static_epsilon_binarize(dmatrix([[0, 1]]))
 
     def test_binarized_selection_equals_indicator_selection(self):
         src = RngStream(44).source()
         values = [[float(src.randbelow(4)) for _ in range(5)] for _ in range(6)]
         m = rmatrix(values)
-        binarized = static_epsilon_binarize(m, [0.0] * 5)
-        indicator = dmatrix((np.array(values) != np.array(values).min(axis=0)).astype(float))
+        binarized = static_epsilon_binarize(m)
+        losses = np.array(values)
+        indicator = dmatrix((losses > losses.min(axis=0) + mad_thresholds(m)).astype(float))
         assert binarized == indicator  # identical matrices, so identical selection
         a = lexicase_select(deduplicate(binarized), RngStream(2))
         b = lexicase_select(deduplicate(indicator), RngStream(2))

@@ -128,6 +128,11 @@ class TestRandomUniform:
             gen_random_uniform(2, 2, 1, RngStream(0))
 
 
+    @pytest.mark.parametrize("n, c", [(0, 3), (3, 0)], ids=["n=0", "c=0"])
+    def test_rejects_empty_shape(self, n, c):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            gen_random_uniform(n, c, 2, RngStream(0))
+
 class TestClustered:
     def test_single_cluster_no_spread(self):
         m = gen_clustered(6, 12, 1, 0.0, RngStream(3))
@@ -168,6 +173,11 @@ class TestClustered:
             gen_clustered(6, 12, 2, 0.4, RngStream(0))  # spread budget too large
         with pytest.raises(ValueError):
             gen_clustered(30, 12, 2, 0.0, RngStream(0))  # c < max cluster size
+
+    def test_rejects_a_spread_beyond_the_non_designated_cases(self):
+        # one cluster of 6 takes 6 designated cases of 8; spread 0.5 perturbs 4
+        with pytest.raises(ValueError, match="not enough non-designated cases"):
+            gen_clustered(6, 8, 1, 0.5, RngStream(0))
 
 
 class TestGeneratorContracts:
@@ -224,6 +234,21 @@ class TestGeneratorContracts:
         for spec in specs:
             matrix = generate(spec)
             assert matrix.n_individuals == 4
+
+    @pytest.mark.parametrize(
+        "kind, n, c, seed",
+        [("random_uniform", 4, 5, None), ("two_cluster", 4, 5, None), ("clustered", 4, 8, 1)],
+    )
+    def test_generate_reads_a_string_kind_as_its_enum(self, kind, n, c, seed):
+        assert generate(GenSpec(kind, n, c, seed=seed)) == generate(GenSpec(GenKind(kind), n, c, seed=seed))
+
+    def test_generate_rejects_an_unknown_string_kind(self):
+        with pytest.raises(ValueError, match="nope"):
+            generate(GenSpec("nope", 4, 5))
+
+    def test_generate_rejects_a_seed_on_a_string_kind_that_reads_none(self):
+        with pytest.raises(ValueError, match="two_cluster reads no seed"):
+            generate(GenSpec("two_cluster", 4, 5, seed=1))
 
 
 class TestRealJitter:
