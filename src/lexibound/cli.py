@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,7 +158,7 @@ def cmd_analyze(args) -> int:
     if inexact and args.require_exact:
         _fail(f"clique budget exhausted at epsilon {inexact} (re-run with a larger --budget)")
         return EXIT_BUDGET
-    _emit(render([asdict(r) for r in reports], args.format), args.out)
+    _emit(render([dict(vars(r)) for r in reports], args.format), args.out)
     return EXIT_OK
 
 
@@ -246,7 +245,7 @@ def cmd_simulate(args) -> int:
         "n_original": matrix.n_individuals,
         "n_unique": profile.n_unique,
         "cases": matrix.n_cases,
-        **asdict(stats),
+        **vars(stats),
     }
 
     code = EXIT_OK
@@ -419,66 +418,76 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file (default: standard output)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("analyze", "sweep-run", "simulate", "genpop", "verify")  # build_parser's, in order
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every command, so usage, help and errors read the same,
+    but given ``command`` only its flags, the only ones its argv can hold."""
     parser = argparse.ArgumentParser(
         prog="lexibound",
         description="Lexicase selection runtime bounds from population diversity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="bound sweep for one error matrix")
-    p.add_argument("matrix", help="CSV error matrix")
-    _add_grid_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_analyze)
+    def flagged(name: str, help_text: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_text)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("sweep-run", help="per-generation best bounds for a run directory")
-    p.add_argument("run_directory", help="directory of gen_<index>.csv files")
-    _add_grid_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_sweep_run)
+    if (p := flagged("analyze", "bound sweep for one error matrix")) is not None:
+        p.add_argument("matrix", help="CSV error matrix")
+        _add_grid_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="Monte Carlo runtime estimation")
-    p.add_argument("matrix", help="CSV error matrix")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
-    p.add_argument(
-        "--binarize-mad",
-        action="store_true",
-        help="binarize real losses with per-case MAD thresholds before selection",
-    )
-    p.add_argument("--check-bound", action="store_true", help="verify mean + 3*SE <= 4N/eps + 2kC")
-    _add_grid_flags(p, analysis=False)
-    p.add_argument("--out", help="output file (default: standard output)")
-    p.set_defaults(func=cmd_simulate)
+    if (p := flagged("sweep-run", "per-generation best bounds for a run directory")) is not None:
+        p.add_argument("run_directory", help="directory of gen_<index>.csv files")
+        _add_grid_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(func=cmd_sweep_run)
 
-    p = sub.add_parser("genpop", help="generate a fixture population")
-    p.add_argument("--spec", help="GenSpec JSON: inline if it starts with '{', else a file path")
-    p.add_argument("--kind", choices=[k.value for k in popgen.GenKind])
-    p.add_argument("--n", type=int, help="population size")
-    p.add_argument("--c", type=int, help="number of cases")
-    p.add_argument("--levels", type=int, help="loss levels (random_uniform)")
-    p.add_argument("--clusters", type=int, help="cluster count (clustered)")
-    p.add_argument("--spread", type=float, help="within-cluster spread fraction (clustered)")
-    p.add_argument("--seed", type=int, help="RNG seed in [0, 2**64) for random_uniform and clustered (default 0)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_genpop)
+    if (p := flagged("simulate", "Monte Carlo runtime estimation")) is not None:
+        p.add_argument("matrix", help="CSV error matrix")
+        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+        p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
+        p.add_argument(
+            "--binarize-mad",
+            action="store_true",
+            help="binarize real losses with per-case MAD thresholds before selection",
+        )
+        p.add_argument("--check-bound", action="store_true", help="verify mean + 3*SE <= 4N/eps + 2kC")
+        _add_grid_flags(p, analysis=False)
+        p.add_argument("--out", help="output file (default: standard output)")
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the built-in self checks")
-    p.add_argument("--level", choices=("fast", "full"), default="fast")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
-    p.add_argument(
-        "--inject-fault",
-        choices=("elite-filter",),
-        help="deliberately corrupt the elite comparison (negative control for the checks)",
-    )
-    p.set_defaults(func=cmd_verify)
+    if (p := flagged("genpop", "generate a fixture population")) is not None:
+        p.add_argument("--spec", help="GenSpec JSON: inline if it starts with '{', else a file path")
+        p.add_argument("--kind", choices=[k.value for k in popgen.GenKind])
+        p.add_argument("--n", type=int, help="population size")
+        p.add_argument("--c", type=int, help="number of cases")
+        p.add_argument("--levels", type=int, help="loss levels (random_uniform)")
+        p.add_argument("--clusters", type=int, help="cluster count (clustered)")
+        p.add_argument("--spread", type=float, help="within-cluster spread fraction (clustered)")
+        p.add_argument("--seed", type=int, help="RNG seed in [0, 2**64) for random_uniform and clustered (default 0)")
+        p.add_argument("--out", required=True, help="output CSV path")
+        p.set_defaults(func=cmd_genpop)
+
+    if (p := flagged("verify", "run the built-in self checks")) is not None:
+        p.add_argument("--level", choices=("fast", "full"), default="fast")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
+        p.add_argument(
+            "--inject-fault",
+            choices=("elite-filter",),
+            help="deliberately corrupt the elite comparison (negative control for the checks)",
+        )
+        p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

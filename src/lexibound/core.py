@@ -5,8 +5,8 @@ construction and safe to share across concurrent tasks; every stochastic
 operation takes an explicit :class:`RngStream`, so there is no global RNG
 state anywhere in the package.
 
-:func:`read_matrix_csv` reads all-integer files with numpy's C parser and
-every other file, and every error, with the per-cell reference reader.
+:func:`read_matrix_csv` reads each distinct line of an all-integer file once
+with numpy's C parser, and other files and errors with the per-cell reader.
 """
 
 from __future__ import annotations
@@ -105,18 +105,21 @@ class ErrorMatrix:
     kind: LossKind = LossKind.DISCRETE
 
     def __post_init__(self):
-        arr = np.asarray(self.losses, dtype=np.float64)
+        raw = np.asarray(self.losses)
+        arr = np.asarray(raw, dtype=np.float64)
         if arr.ndim != 2:
             raise MatrixError(f"losses must be 2-dimensional, got shape {arr.shape}")
         n, c = arr.shape
         if n < 1 or c < 1:
             raise MatrixError(f"matrix must be at least 1x1, got {n}x{c}")
-        if not np.isfinite(arr).all():
+        integral = raw.dtype.kind in "biu"  # no NaN, infinity or fraction to look for
+        if not integral and not np.isfinite(arr).all():
             raise MatrixError("losses contain NaN or infinite entries")
         if self.kind is LossKind.DISCRETE:
-            if not (arr == np.trunc(arr)).all():
+            if not integral and not (arr == np.trunc(arr)).all():
                 raise MatrixError("discrete matrix contains non-integer entries")
-            if np.abs(arr).max() > _MAX_EXACT_INT:
+            values = raw if integral else arr  # not the float copy, which rounds 2**53 + 1 to 2**53
+            if values.min() < -(2**53) or values.max() > 2**53:
                 raise MatrixError("discrete entries exceed exact float64 integer range")
         # Copy, canonicalise -0.0 to 0.0 (keeps row byte-signatures unique),
         # and freeze.
@@ -391,7 +394,7 @@ def _sidecar_kind(path: Path) -> LossKind | None:
     if not sidecar.exists():
         return None
     try:
-        descriptor = json.loads(sidecar.read_text(encoding="utf-8"))
+        descriptor = json.loads(sidecar.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixError(f"cannot read {sidecar}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -411,7 +414,7 @@ def _is_header(row: list[str]) -> bool:
 
 def _read_lines(path: Path) -> list[str]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
@@ -442,6 +445,7 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
 def _read_int_body(lines: list[str]) -> np.ndarray | None:
     """The int64 body of an all-integer file, or None.
 
+    Each distinct line is parsed once, as clones print identical lines.
     None means the reference reader must decide: a cell that is not a plain
     int64 literal, a blank line inside the body (``loadtxt`` would skip it), a
     ragged row, a header of the wrong width, or a cell beyond 2**53.
@@ -458,22 +462,25 @@ def _read_int_body(lines: list[str]) -> np.ndarray | None:
     body = lines[1:] if header else lines
     if not body:
         return None
+    row_of: dict[str, int] = {}
+    index = [row_of.setdefault(line, len(row_of)) for line in body]
+    distinct = list(row_of)
     try:
         with warnings.catch_warnings():
             # numpy releases that still carry the 1.23 deprecation of "parsing
             # an integer via a float" read "0.5" as 0 and "5.0" as 5, warning
             # only; as an error, such a cell sends the file to the reference.
             warnings.simplefilter("error", DeprecationWarning)
-            losses = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            losses = np.loadtxt(distinct, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
-    if losses.shape[0] != len(body) or (header and len(first) != losses.shape[1]):
+    if losses.shape[0] != len(distinct) or (header and len(first) != losses.shape[1]):
         return None
     # Compared as ints: abs() overflows at the int64 minimum, and a float
     # bound would round 2**53 + 1 down to 2**53.
     if (losses > 2**53).any() or (losses < -(2**53)).any():
         return None
-    return losses
+    return losses[index]
 
 
 def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:

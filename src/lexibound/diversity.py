@@ -22,10 +22,10 @@ pass over all 2^N subsets in O(2^N * N); k at threshold t is then one more
 than the largest s whose entry is below t (``k_from_diameters``), so one
 table answers every epsilon. ``similarity_bruteforce`` reads it for one.
 
-The distance table of discrete losses with few distinct values is a sum of
-one-hot matrix products (BLAS) over the losses' rank codes
-(``core.rank_codes``); the row loop stays for the other cases and as the
-reference the products are tested against.
+The distance table of discrete losses with few distinct values is C minus
+a one-hot product (BLAS), one column per (case, value) pair present in the
+rank codes (``core.rank_codes``); the row loop stays for the other cases and
+as the reference the product is tested against.
 """
 
 from __future__ import annotations
@@ -59,12 +59,15 @@ DEFAULT_NODE_BUDGET = 10_000_000
 _BRUTEFORCE_LIMIT = 20
 
 # Cut-off of the one-hot distance path (2 vCPU, one BLAS thread, numpy 2.4).
-# Its cost grows with the number of distinct loss values and the row loop's
-# does not: at 300-616 rows x 100-150 cases it took 0.55-0.71 of the row
-# loop's time at 32 levels, 0.78-0.95 at 48 and 1.03-1.19 at 64. The cut-off
-# is provisional: no perfbench workload has more than 32 levels, so only
-# these in-process timings measure the row-loop side of it.
+# Its cost grows with the (case, level) pairs present and the row loop's
+# does not: with every pair present, at 300-616 rows x 100-150 cases it took
+# 0.54-0.78 of the row loop's time at 32 levels, 0.77-1.07 at 48 and
+# 1.01-1.49 at 64. The cut-off is provisional: no perfbench workload has more
+# than 32 levels, so only these in-process timings measure the row loop's side.
 _ONEHOT_MAX_LEVELS = 32
+# One-hot cells per distance product (16 MB of float32): wide inputs take
+# blocks of cases; 300 x 150 x 8 levels and 5000 x 200 x 4 take one block.
+_ONEHOT_CELLS = 2**22
 # Agreement counts up to C are exact integers in float32 while C < 2**24.
 _FLOAT32_EXACT = 2**24
 
@@ -88,7 +91,7 @@ def pairwise_distance_matrix(matrix: ErrorMatrix, delta=None) -> np.ndarray:
     """Symmetric N x N table of pairwise phenotypic distances (int32).
 
     With ``delta == 0`` and few distinct loss values, the table is counted
-    by one-hot matrix products over the rank codes of ``core.rank_codes``
+    by one one-hot matrix product over the rank codes of ``core.rank_codes``
     (shared with the selection runner); otherwise by the row loop, which is
     also the reference the product is tested against.
     """
@@ -103,14 +106,25 @@ def pairwise_distance_matrix(matrix: ErrorMatrix, delta=None) -> np.ndarray:
 
 def _onehot_distances(codes: np.ndarray, n_levels: int) -> np.ndarray:
     """Distances from level codes: C minus the cases each pair agrees on,
-    summed level by level so the float32 one-hot temporary stays N x C.
-    Every partial sum is an integer <= C < 2**24, so float32 is exact."""
+    counted by one product per block of cases over a float32 one-hot column
+    per (case, level) pair present. Counts are integers <= C < 2**24: exact."""
     n, c = codes.shape
-    agree = np.zeros((n, n), dtype=np.float32)
-    for level in range(n_levels):
-        onehot = (codes == level).astype(np.float32)
-        agree += onehot @ onehot.T
-    return (c - agree).astype(np.int32)
+    step = max(1, _ONEHOT_CELLS // (n * n_levels))  # cases per block
+    agree = None
+    for start in range(0, c, step):
+        block = codes[:, start : start + step]
+        cells = block + np.arange(0, block.shape[1] * n_levels, n_levels)  # (case, level) ids
+        present = np.zeros(block.shape[1] * n_levels, dtype=bool)
+        present[cells] = True
+        column = np.cumsum(present, dtype=np.intp) - 1  # each present pair's column
+        p = int(column[-1]) + 1
+        np.take(column, cells, out=cells)
+        cells += np.arange(0, n * p, p)[:, None]  # flat offsets into the table
+        onehot = np.zeros((n, p), dtype=np.float32)
+        onehot.reshape(-1)[cells] = 1.0
+        part = onehot @ onehot.T
+        agree = part if agree is None else np.add(agree, part, out=agree)
+    return np.subtract(c, agree, out=agree).astype(np.int32)
 
 
 def _row_loop_distances(losses: np.ndarray, delta: float) -> np.ndarray:

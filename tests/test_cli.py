@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -147,6 +148,50 @@ class TestGenpop:
         assert capsys.readouterr().err == f"lexibound: error: {message}\n"
 
 
+class TestParser:
+    """``main`` gives flags only to the command it runs; every help and error
+    text stays that of the parser with all flags, in the same interpreter
+    (argparse's wording differs between Python versions)."""
+
+    ARGVS = [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["analyze"],
+        ["analyze", "a.csv", "extra"],
+        ["simulate", "a.csv", "--budget", "x"],
+        ["verify", "--level", "slow"],
+    ] + [[command, "--help"] for command in cli._COMMANDS]
+
+    @staticmethod
+    def _outcome(parse, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse()
+        return exit_info.value.code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_output_matches_the_full_parser(self, argv, capsys):
+        full = self._outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+        assert self._outcome(lambda: cli.main(argv), capsys) == full
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_subcommand_help_matches_the_full_parser(self, command):
+        def help_text(parser):
+            (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+            assert tuple(sub.choices) == cli._COMMANDS
+            return sub.choices[command].format_help()
+
+        assert help_text(cli.build_parser(command)) == help_text(cli.build_parser())
+
+    def test_usage_line_lists_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = "usage: lexibound [-h] {analyze,sweep-run,simulate,genpop,verify} ..."
+        for argv in ([], ["--help"], ["bogus"]):
+            code, out, err = self._outcome(lambda: cli.main(argv), capsys)
+            assert (out if argv == ["--help"] else err).startswith(usage + "\n")
+            assert code == (0 if argv == ["--help"] else 2)
+
+
 class TestGoldenOutput:
     """Pins the exact stdout bytes of the text-producing commands."""
 
@@ -232,6 +277,12 @@ class TestAnalyze:
         bad.write_text("0,1\n0,zap\n")
         assert run(["analyze", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_blank_line_between_repeated_lines_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,1\n1,0\n0,1\n\n0,1\n")
+        assert run(["analyze", str(bad)]) == 2
+        assert "line 4: expected 2 cells, got 0" in capsys.readouterr().err
 
     def test_oversized_cell_exits_2_naming_line(self, tmp_path, capsys):
         big = tmp_path / "big.csv"

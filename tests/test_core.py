@@ -59,6 +59,17 @@ class TestErrorMatrix:
         with pytest.raises(MatrixError, match="exceed exact float64 integer range"):
             ErrorMatrix(np.array([[0.0, 2.0**53 + 2]]))
 
+    @pytest.mark.parametrize("value", [2**53 + 1, -(2**53) - 1, np.iinfo(np.int64).min])
+    def test_rejects_integer_entries_beyond_exact_floats(self, value):
+        # checked as integers: the float copy would round 2**53 + 1 to 2**53
+        with pytest.raises(MatrixError, match="exceed exact float64 integer range"):
+            ErrorMatrix(np.array([[value, 0]]))
+
+    def test_integer_entries_at_the_exact_limits(self):
+        m = ErrorMatrix(np.array([[2**53, -(2**53)]]))
+        assert m.losses.dtype == np.float64
+        assert m.losses.tolist() == [[2.0**53, -(2.0**53)]]
+
     def test_discrete_requires_integers(self):
         with pytest.raises(MatrixError):
             dmatrix([[0.5, 1.0]])
@@ -380,6 +391,23 @@ class TestCsv:
         path.write_bytes(b"0,1\r\n\r\n1,0\r\n\r\n")
         with pytest.raises(MatrixError, match="line 2: expected 2 cells, got 0"):
             read_matrix_csv(path)
+        path.write_bytes(b"0,1\n0,1\n\n0,1\n")  # between repeated lines
+        with pytest.raises(MatrixError, match="line 3: expected 2 cells, got 0"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("header", [b"", b"case_0,case_1\n"])
+    def test_byte_order_mark_skipped(self, header, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(header + b"1,2\n2,1\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + header + b"1,2\n2,1\n")
+        assert read_matrix_csv(marked) == read_matrix_csv(plain)
+        assert _reference(marked) == _reference(plain)
+
+    def test_sidecar_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n2,1\n")
+        (tmp_path / "m.csv.json").write_bytes(b'\xef\xbb\xbf{"kind": "real"}')
+        assert read_matrix_csv(path).kind is LossKind.REAL
 
     def test_underscore_numeral_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -464,6 +492,26 @@ def int_files(draw):
     return (breaks.join(lines) + ending).encode()
 
 
+# Spellings of one value that both readers read: the fast path parses each
+# distinct line once, so equal rows can reach it as different lines.
+SPELLINGS = {v: [str(v), f"+{v}", f" {v}", f"0{v}"] for v in range(3)}
+
+
+@st.composite
+def repeated_int_files(draw):
+    """Files of a few rows, each written one or two ways, whose lines repeat;
+    now and then a header or a blank line among them."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=width, max_size=width), min_size=1, max_size=3))
+    texts = [",".join(draw(st.sampled_from(SPELLINGS[v])) for v in row) for row in rows for _ in range(draw(st.integers(1, 2)))]
+    lines = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=10))
+    if len(lines) > 1 and draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(1, len(lines) - 1)), "")
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"case_{c}" for c in range(width)))
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestFastReader:
     """read_matrix_csv's numpy path reads a subset of what the per-cell
     reference reads, to the same matrix; everything else is the reference's."""
@@ -473,6 +521,20 @@ class TestFastReader:
     def test_matches_reference(self, data, sidecar):
         got, want, _ = _read_both(data, sidecar)
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_int_files())
+    def test_repeated_and_respelled_lines(self, data):
+        got, want, fast = _read_both(data)
+        assert got == want
+        assert fast == (b"\n\n" not in data)
+        assume(fast)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(data)
+            a, b = deduplicate(read_matrix_csv(path)), deduplicate(_reference(path))
+        assert a.unique == b.unique
+        assert a.unique_index.tolist() == b.unique_index.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(int_bodies(), st.sampled_from([None, "discrete", "real"]))

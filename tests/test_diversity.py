@@ -117,6 +117,24 @@ class TestOneHotDistances:
         m = dmatrix(np.random.default_rng(seed).integers(0, levels, size=(n, c)))
         assert np.array_equal(pairwise_distance_matrix(m), diversity._row_loop_distances(m.losses, 0.0))
 
+    @pytest.mark.parametrize("n, c", [(1, 1), (1, 8), (25, 1), (25, 10)])
+    def test_disjoint_case_ranges(self, n, c, monkeypatch):
+        # case j takes values 3j..3j+2: 3C levels in all, but only 3C of the
+        # C * 3C (case, level) pairs are present, so the table has 3C columns
+        calls = self._route(monkeypatch)
+        losses = np.random.default_rng(n * 100 + c).integers(0, 3, size=(n, c)) + 3 * np.arange(c)
+        m = dmatrix(losses)
+        assert np.array_equal(pairwise_distance_matrix(m), diversity._row_loop_distances(m.losses, 0.0))
+        assert calls
+
+    @pytest.mark.parametrize("cells", [1, 130, 10**6])
+    def test_blocks_of_cases(self, cells, monkeypatch):
+        # 12 rows x 5 levels: blocks of 1 case, of 2 cases with a last block
+        # of 1, and one block of all 9
+        monkeypatch.setattr(diversity, "_ONEHOT_CELLS", cells)
+        m = dmatrix(np.random.default_rng(3).integers(0, 5, size=(12, 9)))
+        assert np.array_equal(pairwise_distance_matrix(m), diversity._row_loop_distances(m.losses, 0.0))
+
     def test_real_losses_with_zero_delta(self, monkeypatch):
         calls = self._route(monkeypatch)
         values = np.array([0.5, 1.25, -3.0, 1e-300, 2.0**60])
