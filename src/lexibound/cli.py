@@ -103,17 +103,18 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _load_profile(path: str, delta) -> tuple[ErrorMatrix, DedupProfile, float]:
+def _load_profile(path: str, delta, where: str = "") -> tuple[ErrorMatrix, DedupProfile, float]:
     """Read a matrix and build its analysis profile.
 
     Discrete matrices are deduplicated (delta omitted or 0); real ones keep
-    every row and require an explicit --delta.
+    every row and require an explicit --delta. A --delta that does not fit
+    the matrix's kind is an error that starts with ``where``.
     """
     matrix = read_matrix_csv(path)
     try:
         delta = _resolve_delta(matrix.kind, delta)
     except ValueError as exc:
-        raise ValueError(f"--{exc}") from exc
+        raise ValueError(f"{where}--{exc}") from exc
     discrete = matrix.kind is LossKind.DISCRETE
     return matrix, deduplicate(matrix) if discrete else identity_profile(matrix), delta
 
@@ -191,7 +192,7 @@ def cmd_sweep_run(args) -> int:
     n_cases = None
     any_inexact = False
     for index, file_path in generations:
-        matrix, profile, delta = _load_profile(str(file_path), args.delta)
+        matrix, profile, delta = _load_profile(str(file_path), args.delta, f"{file_path}: ")
         if n_cases is None:
             n_cases = matrix.n_cases
         elif matrix.n_cases != n_cases:

@@ -6,7 +6,10 @@ operation takes an explicit :class:`RngStream`, so there is no global RNG
 state anywhere in the package.
 
 :func:`read_matrix_csv` reads each distinct line of an all-integer file once
-with numpy's C parser, and other files and errors with the per-cell reader.
+with numpy's C parser, checks and converts its row once, and copies the
+float rows out to the lines that repeat it; other files and errors go
+through the per-cell reader. Rows taken from a checked matrix, such as the
+ones :func:`deduplicate` keeps, are frozen with no second check.
 """
 
 from __future__ import annotations
@@ -106,13 +109,14 @@ class ErrorMatrix:
 
     def __post_init__(self):
         raw = np.asarray(self.losses)
-        arr = np.asarray(raw, dtype=np.float64)
+        integral = raw.dtype.kind in "biu"  # no NaN, infinity, fraction or -0.0 to look for
+        # Integers take one converting copy; other input is copied below.
+        arr = raw.astype(np.float64) if integral else np.asarray(raw, dtype=np.float64)
         if arr.ndim != 2:
             raise MatrixError(f"losses must be 2-dimensional, got shape {arr.shape}")
         n, c = arr.shape
         if n < 1 or c < 1:
             raise MatrixError(f"matrix must be at least 1x1, got {n}x{c}")
-        integral = raw.dtype.kind in "biu"  # no NaN, infinity or fraction to look for
         if not integral and not np.isfinite(arr).all():
             raise MatrixError("losses contain NaN or infinite entries")
         if self.kind is LossKind.DISCRETE:
@@ -121,9 +125,9 @@ class ErrorMatrix:
             values = raw if integral else arr  # not the float copy, which rounds 2**53 + 1 to 2**53
             if values.min() < -(2**53) or values.max() > 2**53:
                 raise MatrixError("discrete entries exceed exact float64 integer range")
-        # Copy, canonicalise -0.0 to 0.0 (keeps row byte-signatures unique),
-        # and freeze.
-        arr = arr + 0.0
+        if not integral:
+            # Copy, canonicalise -0.0 to 0.0 (keeps row byte-signatures unique).
+            arr = arr + 0.0
         arr.flags.writeable = False
         object.__setattr__(self, "losses", arr)
 
@@ -177,7 +181,7 @@ class DedupProfile:
         index = index.astype(np.intp, copy=False)
         if not np.bincount(index, minlength=n).all():
             raise MatrixError("a unique row has no individual")
-        if self.unique.kind is LossKind.DISCRETE and len({row.tobytes() for row in self.unique.losses}) != n:
+        if self.unique.kind is LossKind.DISCRETE and len(set(_row_keys(self.unique.losses))) != n:
             raise MatrixError("unique matrix contains duplicate rows")
         index.flags.writeable = False
         object.__setattr__(self, "unique_index", index)
@@ -195,6 +199,24 @@ class DedupProfile:
         return self.unique.n_cases
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built with no
+    ``__post_init__``: for values that already meet its checks, held in
+    arrays no caller keeps, which are frozen in place rather than copied."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row of a 2-D array as its bytes, read through one void view."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view((np.void, rows.itemsize * rows.shape[1])).ravel().tolist()
+
+
 def deduplicate(matrix: ErrorMatrix) -> DedupProfile:
     """Collapse behavioral clones: one row per distinct loss vector.
 
@@ -204,11 +226,13 @@ def deduplicate(matrix: ErrorMatrix) -> DedupProfile:
     """
     matrix.require_kind(LossKind.DISCRETE, "deduplicate")
     # A dict of row bytes: np.unique(axis=0) is several times slower here.
+    # The matrix holds no -0.0, so equal rows have equal bytes.
     first_of: dict[bytes, int] = {}
-    first = [first_of.setdefault(row.tobytes(), i) for i, row in enumerate(matrix.losses)]
+    first = [first_of.setdefault(key, i) for i, key in enumerate(_row_keys(matrix.losses))]
     order = list(first_of.values())  # ascending: row u of unique is row order[u]
-    unique = ErrorMatrix(matrix.losses[order], kind=matrix.kind)
-    return DedupProfile(unique=unique, unique_index=np.searchsorted(order, first))
+    # Rows of a checked matrix, distinct by construction: no check to repeat.
+    unique = _trusted(ErrorMatrix, losses=matrix.losses[order], kind=matrix.kind)
+    return _trusted(DedupProfile, unique=unique, unique_index=np.searchsorted(order, first))
 
 
 def identity_profile(matrix: ErrorMatrix) -> DedupProfile:
@@ -436,14 +460,19 @@ def read_matrix_csv(path: str | Path) -> ErrorMatrix:
     """
     path = Path(path)
     lines = _read_lines(path)
-    losses = _read_int_body(lines)
-    if losses is None:
+    body = _read_int_body(lines)
+    if body is None:
         return _read_matrix_reference(path, lines)
-    return ErrorMatrix(losses, kind=_sidecar_kind(path) or LossKind.DISCRETE)
+    rows, index = body
+    # Each distinct line's row is checked and converted once, then copied out
+    # to the lines that repeat it.
+    matrix = ErrorMatrix(rows, kind=_sidecar_kind(path) or LossKind.DISCRETE)
+    return matrix if index is None else _trusted(ErrorMatrix, losses=matrix.losses[index], kind=matrix.kind)
 
 
-def _read_int_body(lines: list[str]) -> np.ndarray | None:
-    """The int64 body of an all-integer file, or None.
+def _read_int_body(lines: list[str]) -> tuple[np.ndarray, list[int] | None] | None:
+    """The int64 rows of an all-integer file's distinct body lines, and the
+    row of each body line (None when every line is distinct), or None.
 
     Each distinct line is parsed once, as clones print identical lines.
     None means the reference reader must decide: a cell that is not a plain
@@ -480,7 +509,7 @@ def _read_int_body(lines: list[str]) -> np.ndarray | None:
     # bound would round 2**53 + 1 down to 2**53.
     if (losses > 2**53).any() or (losses < -(2**53)).any():
         return None
-    return losses[index]
+    return losses, None if len(distinct) == len(body) else index
 
 
 def _read_matrix_reference(path: Path, lines: list[str]) -> ErrorMatrix:

@@ -26,16 +26,22 @@ The distance table of discrete losses with few distinct values is C minus
 a one-hot product (BLAS), one column per (case, value) pair present in the
 rank codes (``core.rank_codes``); the row loop stays for the other cases and
 as the reference the product is tested against.
+
+The sweep's graphs come from a symmetric distance table, so
+``graph_from_distances`` freezes their adjacency without the symmetry check
+and copy of the public ``SimilarityGraph`` constructor, and ``clique_number``
+reorders rows and columns as two row gathers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .core import DedupProfile, ErrorMatrix, LossKind, exact_fraction, rank_codes
+from .core import DedupProfile, ErrorMatrix, LossKind, _row_keys, _trusted, exact_fraction, rank_codes
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -116,9 +122,11 @@ def _onehot_distances(codes: np.ndarray, n_levels: int) -> np.ndarray:
         cells = block + np.arange(0, block.shape[1] * n_levels, n_levels)  # (case, level) ids
         present = np.zeros(block.shape[1] * n_levels, dtype=bool)
         present[cells] = True
-        column = np.cumsum(present, dtype=np.intp) - 1  # each present pair's column
-        p = int(column[-1]) + 1
-        np.take(column, cells, out=cells)
+        p = present.size
+        if not present.all():  # with every pair present, a pair's column is its id
+            column = np.cumsum(present, dtype=np.intp) - 1  # each present pair's column
+            p = int(column[-1]) + 1
+            np.take(column, cells, out=cells)
         cells += np.arange(0, n * p, p)[:, None]  # flat offsets into the table
         onehot = np.zeros((n, p), dtype=np.float32)
         onehot.reshape(-1)[cells] = 1.0
@@ -192,10 +200,15 @@ class SimilarityResult:
 def graph_from_distances(distances: np.ndarray, threshold: int) -> SimilarityGraph:
     """The similarity graph joining the pairs at distance below ``threshold``,
     the ``far_distance_threshold`` of an epsilon; every epsilon that maps to
-    the same threshold has this graph."""
+    the same threshold has this graph.
+
+    ``distances`` must be a symmetric square table, as
+    ``pairwise_distance_matrix`` gives: the adjacency is then symmetric, and
+    is frozen with no check or copy.
+    """
     adjacency = distances < threshold
     np.fill_diagonal(adjacency, False)
-    return SimilarityGraph(n_vertices=distances.shape[0], adjacency=adjacency)
+    return _trusted(SimilarityGraph, n_vertices=distances.shape[0], adjacency=adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +232,7 @@ def graph_from_distances(distances: np.ndarray, threshold: int) -> SimilarityGra
 def _bitsets(adjacency: np.ndarray) -> list[int]:
     """Each row as an int whose bit j is set iff the row's column j is."""
     packed = np.packbits(adjacency, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+    return list(map(int.from_bytes, _row_keys(packed), repeat("little")))
 
 
 def _greedy_clique(adj: list[int]) -> int:
@@ -327,7 +339,9 @@ def clique_number(
         return SimilarityResult(alpha_lower=1, alpha_upper=1, exact=True, search_nodes=0)
     degree = np.add.reduce(graph.adjacency.view(np.uint8), axis=1, dtype=np.int32)
     order = np.argsort(-degree, kind="stable")
-    adj = _bitsets(graph.adjacency.take(order, axis=0).take(order, axis=1))
+    # Rows, then rows of the transpose, which are the columns: the adjacency
+    # is symmetric, and a row gather is the cheaper one.
+    adj = _bitsets(graph.adjacency[order].T[order])
     root_order, root_colors = _color_sort((1 << n) - 1, adj)
     upper = max(root_colors)
     if lower_bound > upper:

@@ -698,6 +698,26 @@ class TestSweepRun:
         assert run(["sweep-run", str(tmp_path)]) == 2
         assert "cases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "--delta must be supplied for real-valued losses"),
+            (["--delta", "0.5"], "--delta must be 0 for discrete losses"),
+        ],
+    )
+    def test_delta_error_names_generation(self, argv, message, tmp_path, capsys):
+        # gen_0 is discrete and gen_1 real, so each delta fails on one of them.
+        (tmp_path / "gen_0.csv").write_text("0,1\n1,0\n")
+        (tmp_path / "gen_1.csv").write_text("0.5,1.5\n1.0,0.25\n")
+        assert run(["sweep-run", str(tmp_path), *argv]) == 2
+        bad = tmp_path / ("gen_0.csv" if argv else "gen_1.csv")
+        captured = capsys.readouterr()
+        assert captured.err == f"lexibound: error: {bad}: {message}\n"
+        assert captured.out == ""
+        # analyze reads one file, named on its command line: no prefix.
+        assert run(["analyze", str(bad), *argv]) == 2
+        assert capsys.readouterr().err == f"lexibound: error: {message}\n"
+
     def test_empty_directory_exit_2(self, tmp_path):
         assert run(["sweep-run", str(tmp_path)]) == 2
 

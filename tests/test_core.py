@@ -85,6 +85,21 @@ class TestErrorMatrix:
         b = ErrorMatrix(np.array([[0.0, 1.0]]), kind=LossKind.REAL)
         assert a == b
 
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_integer_input_converted_once(self, dtype, kind, transpose):
+        # integer input takes one float copy: equal to the float input's
+        # matrix, frozen, and sharing no memory with the caller's array
+        raw = np.array([[0, 1, 2, 1], [2, 0, 1, 1], [1, 1, 0, 2]]).astype(dtype)
+        if np.dtype(dtype).kind == "i":
+            raw -= 1  # negative entries too
+        raw = raw.T if transpose else raw
+        m = ErrorMatrix(raw, kind=kind)
+        assert m == ErrorMatrix(raw.astype(np.float64), kind=kind)
+        assert m.losses.dtype == np.float64 and not m.losses.flags.writeable
+        assert not np.shares_memory(m.losses, raw)
+
 
 class TestDeduplicate:
     def test_exact_duplicate_collapse(self):
@@ -145,12 +160,44 @@ class TestDeduplicate:
             ([[0, 1], [1, 0]], np.array([], dtype=np.intp)),
             ([[0, 1], [1, 0]], [1, 1]),
             ([[0, 1], [0, 1]], [0, 1]),
+            ([[0, -0.0], [0, 0]], [0, 1]),
         ],
-        ids=["negative", "beyond-n-unique", "non-integer", "empty", "unused-row", "duplicate-rows"],
+        ids=["negative", "beyond-n-unique", "non-integer", "empty", "unused-row", "duplicate-rows", "signed-zero-rows"],
     )
     def test_constructor_rejects(self, rows, unique_index):
         with pytest.raises(MatrixError):
             DedupProfile(dmatrix(rows), np.array(unique_index))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**53]), min_size=3, max_size=3),
+            min_size=1,
+            max_size=12,
+        ),
+        st.booleans(),
+    )
+    def test_equals_per_row_bytes_reference(self, rows, transpose):
+        losses = np.array(rows)
+        matrix = ErrorMatrix(np.asfortranarray(losses) if transpose else losses)
+        canonical = losses + 0.0
+        first_of = {}
+        for i, row in enumerate(canonical):
+            first_of.setdefault(row.tobytes(), i)
+        order = list(first_of.values())
+        prof = deduplicate(matrix)
+        assert prof.unique.losses.tobytes() == canonical[order].tobytes()
+        assert prof.unique_index.tolist() == [order.index(first_of[row.tobytes()]) for row in canonical]
+        assert prof.unique_index.dtype == np.intp
+        assert not prof.unique_index.flags.writeable and not prof.unique.losses.flags.writeable
+
+    def test_respelled_lines_are_one_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,0\n+1,-0\n1,0\n0,+1\n-0,1\n")
+        prof = deduplicate(read_matrix_csv(path))
+        assert prof.unique.losses.tolist() == [[1, 0], [0, 1]]
+        assert prof.unique_index.tolist() == [0, 0, 0, 1, 1]
+        assert not prof.unique_index.flags.writeable
 
     def test_identity_profile_real(self):
         prof = identity_profile(rmatrix([[0.5, 1.0], [0.5, 1.0]]))
@@ -597,6 +644,19 @@ class TestFastReader:
         path.write_text(text)
         m = read_matrix_csv(path)
         assert m.kind is LossKind.REAL and m.losses[0, 0] == value
+
+    @pytest.mark.parametrize(
+        "lines, rows, index",
+        [
+            (["0,1", "1,0", "2,2"], [[0, 1], [1, 0], [2, 2]], None),
+            (["0,1", "1,0", "0,1"], [[0, 1], [1, 0]], [0, 1, 0]),
+            (["a,b", "1,1", "1,1"], [[1, 1]], [0, 0]),
+        ],
+    )
+    def test_rows_of_distinct_lines(self, lines, rows, index):
+        # a file whose lines are all distinct needs no copy by index
+        got_rows, got_index = core._read_int_body(lines)
+        assert got_rows.tolist() == rows and got_index == index
 
     def test_integer_file_never_enters_the_reference(self, tmp_path, monkeypatch):
         def no_reference(*args):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexibound.core import RngStream, deduplicate, identity_profile
@@ -135,6 +135,19 @@ class TestOneHotDistances:
         m = dmatrix(np.random.default_rng(3).integers(0, 5, size=(12, 9)))
         assert np.array_equal(pairwise_distance_matrix(m), diversity._row_loop_distances(m.losses, 0.0))
 
+    @pytest.mark.parametrize("missing", [False, True])
+    @pytest.mark.parametrize("cells", [40, 10**6])
+    def test_every_pair_present_or_one_missing(self, missing, cells, monkeypatch):
+        # 10 rows x 4 levels x 7 cases: with 40 cells, blocks of 1 case, so
+        # the block that lacks a pair sits between blocks that have them all
+        monkeypatch.setattr(diversity, "_ONEHOT_CELLS", cells)
+        codes = np.random.default_rng(7).integers(0, 4, size=(10, 7))
+        codes[:4] = np.arange(4)[:, None]  # every (case, level) pair present
+        if missing:
+            codes[codes[:, 3] == 2, 3] = 1  # but level 2 of case 3
+        d = diversity._onehot_distances(codes, 4)
+        assert np.array_equal(d, diversity._row_loop_distances(codes.astype(np.float64), 0.0))
+
     def test_real_losses_with_zero_delta(self, monkeypatch):
         calls = self._route(monkeypatch)
         values = np.array([0.5, 1.25, -3.0, 1e-300, 2.0**60])
@@ -230,6 +243,17 @@ class TestSimilarityGraph:
         with pytest.raises(ValueError):
             SimilarityGraph(2, adj)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 8))
+    def test_graph_from_distances_equals_checked_graph(self, n, seed, threshold):
+        upper = np.triu(np.random.default_rng(seed).integers(0, 8, size=(n, n)), 1)
+        distances = upper + upper.T
+        g = graph_from_distances(distances, threshold)
+        checked = SimilarityGraph(n, (distances < threshold) & ~np.eye(n, dtype=bool))
+        assert g.n_vertices == checked.n_vertices
+        assert np.array_equal(g.adjacency, checked.adjacency) and g.n_edges == checked.n_edges
+        assert not g.adjacency.flags.writeable and not checked.adjacency.flags.writeable
+        assert not np.shares_memory(g.adjacency, distances)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="adjacency shape"):
@@ -299,6 +323,12 @@ class TestCliqueNumber:
         with pytest.raises(ValueError):
             clique_number(g, node_budget=0)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 300])
+    def test_bitsets_equal_per_row_bytes(self, n):
+        adjacency = np.random.default_rng(n).random((n, n)) < 0.4
+        packed = np.packbits(adjacency, axis=1, bitorder="little")
+        assert diversity._bitsets(adjacency) == [int.from_bytes(row.tobytes(), "little") for row in packed]
+
     def test_union_of_40_unequal_cliques_needs_no_search(self):
         # the size of a converged sweep graph: 300 vertices in cliques of 3..12,
         # interleaved in index order
@@ -366,7 +396,28 @@ def greedy_clique(adjacency) -> int:
     return size
 
 
+class _Reordered(Exception):
+    pass
+
+
 class TestCliqueSearchProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(max_n=20))
+    def test_reorders_rows_and_columns_by_degree(self, adjacency):
+        assume(adjacency.shape[0] > 0)
+        seen = []
+
+        def recording(ordered):
+            seen.append(ordered.copy())
+            raise _Reordered  # a wrong order could make the search below run long
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diversity, "_bitsets", recording)
+            with pytest.raises(_Reordered):
+                clique_number(_graph(adjacency))
+        order = np.argsort(-adjacency.sum(axis=1), kind="stable")
+        assert np.array_equal(seen[0], adjacency[np.ix_(order, order)])
+
     @settings(max_examples=100, deadline=None)
     @given(small_graphs())
     def test_exact_and_equal_to_subset_oracle(self, adjacency):
