@@ -226,7 +226,15 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     seed = _check_seed(args.seed)
+    # Only --check-bound reads the grid flags. They default to None here, so
+    # a given one is found; a bad value still fails first, as in analyze.
+    flags = {"--epsilon": args.epsilon, "--epsilon-grid": args.epsilon_grid, "--budget": args.budget}
+    given = [flag for flag, value in flags.items() if value is not None]
+    args.epsilon_grid = bounds.DEFAULT_GRID if args.epsilon_grid is None else args.epsilon_grid
+    args.budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     grid = _epsilon_grid(args)
+    if given and not args.check_bound:
+        raise ValueError(f"{given[0]} is read only with --check-bound")
     _check_out(args.out)
     matrix = read_matrix_csv(args.matrix)
     if matrix.kind is LossKind.REAL:
@@ -390,12 +398,13 @@ def cmd_verify(args) -> int:
 
 def _add_grid_flags(parser: argparse.ArgumentParser, analysis: bool = True) -> None:
     """Epsilon grid and clique budget; ``analysis`` adds --delta and
-    --require-exact, which only the bound-sweep commands read."""
+    --require-exact, which only the bound-sweep commands read. Without it
+    (simulate) the defaults are None, which ``cmd_simulate`` fills in."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--epsilon", help="single epsilon value (exact decimal, e.g. 0.25)")
     group.add_argument(
         "--epsilon-grid",
-        default=bounds.DEFAULT_GRID,
+        default=bounds.DEFAULT_GRID if analysis else None,
         help=f"inclusive grid start:stop:step (default {bounds.DEFAULT_GRID})",
     )
     if analysis:
@@ -403,7 +412,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser, analysis: bool = True) -> N
     parser.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_NODE_BUDGET,
+        default=DEFAULT_NODE_BUDGET if analysis else None,
         help=f"clique search node budget (default {DEFAULT_NODE_BUDGET})",
     )
     if analysis:
@@ -423,17 +432,22 @@ _COMMANDS = ("analyze", "sweep-run", "simulate", "genpop", "verify")  # build_pa
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: every command, so usage, help and errors read the same,
-    but given ``command`` only its flags, the only ones its argv can hold."""
+    """The CLI parser: every command, or given ``command`` only its
+    subparser, the only one its argv can reach. That parser's usage still
+    lists every command, as the subparsers ``metavar``, which argparse
+    prints in place of the choices; so usage, help and error text read as
+    the full parser's. The full parser sets no ``metavar``: the errors only
+    it raises, on the command itself, name the ``dest``, which a
+    ``metavar`` would replace."""
     parser = argparse.ArgumentParser(
         prog="lexibound",
         description="Lexicase selection runtime bounds from population diversity",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def flagged(name: str, help_text: str) -> argparse.ArgumentParser | None:
-        p = sub.add_parser(name, help=help_text)
-        return p if command in (None, name) else None
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
     if (p := flagged("analyze", "bound sweep for one error matrix")) is not None:
         p.add_argument("matrix", help="CSV error matrix")

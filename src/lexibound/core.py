@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,15 @@ class ErrorMatrix:
     @property
     def n_cases(self) -> int:
         return self.losses.shape[1]
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """The losses as rank codes (``_narrow_ranks``), read-only, built on
+        first use and kept: the distance table and the selection runner read
+        one table."""
+        codes = _narrow_ranks(self.losses)
+        codes.flags.writeable = False
+        return codes
 
     def require_kind(self, kind: LossKind, operation: str) -> None:
         if self.kind is not kind:
@@ -266,6 +276,16 @@ def rank_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 return (np.flatnonzero(present) + np.int64(lo)).astype(values.dtype), rank[ints]
     levels, codes = np.unique(values, return_inverse=True)
     return levels, codes.reshape(values.shape)
+
+
+def _narrow_ranks(values: np.ndarray) -> np.ndarray:
+    """``values`` as ranks 0..L-1 among their L distinct values, which keep
+    every ``<`` and ``==`` between them, in the narrowest unsigned type whose
+    all-ones value is no rank: the selection runner marks pool non-members
+    with it."""
+    levels, codes = rank_codes(values)
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if len(levels) <= np.iinfo(t).max)
+    return np.ascontiguousarray(codes, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

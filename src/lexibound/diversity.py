@@ -24,8 +24,8 @@ table answers every epsilon. ``similarity_bruteforce`` reads it for one.
 
 The distance table of discrete losses with few distinct values is C minus
 a one-hot product (BLAS), one column per (case, value) pair present in the
-rank codes (``core.rank_codes``); the row loop stays for the other cases and
-as the reference the product is tested against.
+matrix's rank codes (``ErrorMatrix.ranks``); the row loop stays for the
+other cases and as the reference the product is tested against.
 
 The sweep's graphs come from a symmetric distance table, so
 ``graph_from_distances`` freezes their adjacency without the symmetry check
@@ -41,7 +41,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import DedupProfile, ErrorMatrix, LossKind, _row_keys, _trusted, exact_fraction, rank_codes
+from .core import DedupProfile, ErrorMatrix, LossKind, _row_keys, _trusted, exact_fraction
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -97,16 +97,16 @@ def pairwise_distance_matrix(matrix: ErrorMatrix, delta=None) -> np.ndarray:
     """Symmetric N x N table of pairwise phenotypic distances (int32).
 
     With ``delta == 0`` and few distinct loss values, the table is counted
-    by one one-hot matrix product over the rank codes of ``core.rank_codes``
-    (shared with the selection runner); otherwise by the row loop, which is
-    also the reference the product is tested against.
+    by one one-hot matrix product over ``matrix.ranks``, the rank codes the
+    selection runner reads too; otherwise by the row loop, which is also
+    the reference the product is tested against.
     """
     delta = _resolve_delta(matrix.kind, delta)
     losses = matrix.losses
     if delta == 0.0 and losses.shape[1] < _FLOAT32_EXACT:
-        values, codes = rank_codes(losses)
-        if len(values) <= _ONEHOT_MAX_LEVELS:
-            return _onehot_distances(codes, len(values))
+        n_levels = int(matrix.ranks.max()) + 1
+        if n_levels <= _ONEHOT_MAX_LEVELS:
+            return _onehot_distances(matrix.ranks, n_levels)
     return _row_loop_distances(losses, delta)
 
 
@@ -119,7 +119,7 @@ def _onehot_distances(codes: np.ndarray, n_levels: int) -> np.ndarray:
     agree = None
     for start in range(0, c, step):
         block = codes[:, start : start + step]
-        cells = block + np.arange(0, block.shape[1] * n_levels, n_levels)  # (case, level) ids
+        cells = block + np.arange(0, block.shape[1] * n_levels, n_levels, dtype=np.intp)  # (case, level) ids
         present = np.zeros(block.shape[1] * n_levels, dtype=bool)
         present[cells] = True
         p = present.size

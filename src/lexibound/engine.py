@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DedupProfile, ErrorMatrix, LossKind, RngStream, randbelow_array, rank_codes
+from .core import DedupProfile, ErrorMatrix, LossKind, RandomSource, RngStream, randbelow_array
+from .core import _narrow_ranks as _narrow_losses  # noqa: F401  (ErrorMatrix.ranks of any array)
 
 __all__ = [
     "SelectionTrace",
@@ -58,6 +59,16 @@ __all__ = [
 _BLOCK_TRIALS = 4096
 _BLOCK_CELLS = 1 << 19
 _RING_BLOCKS = 3
+# Once every trial has started, at most this many working rows finish in
+# scalar steps (see _lockstep). A lockstep step costs about 40 us of numpy
+# calls however few rows it holds; a scalar step of one row, 5-10 us. Median
+# runner time in-process, against the runner without the scalar finish and
+# the leaner lockstep step, at 0 (no scalar finish) / 4 / 8 / 16 / 32 rows
+# (2 vCPU, shared, numpy 2.4): simulate_converged's profile, 3,000 trials,
+# seed 1, 60 runs: 0.97/0.93/0.92/0.92/0.98; seed 1001, 40 runs:
+# 0.98/0.99/0.96/0.99/1.02; 10,000 trials, seed 1, 20 runs:
+# 0.96/0.94/0.95/0.98/1.00; verify --level fast, 20 runs: 0.97/0.97/0.95/0.94/0.96.
+_TAIL_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -174,7 +185,7 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     profile.unique.require_kind(LossKind.DISCRETE, "lexicase_select")
-    by_case = _narrow_losses(profile.unique.losses.T)
+    by_case = np.ascontiguousarray(profile.unique.ranks.T)
     members = np.argsort(profile.unique_index, kind="stable")
     sizes = np.bincount(profile.unique_index)
     starts = np.cumsum(sizes) - sizes
@@ -193,16 +204,6 @@ def run_trials(profile: DedupProfile, trials: int, rng: RngStream) -> Iterator[T
     return blocks()
 
 
-def _narrow_losses(losses: np.ndarray) -> np.ndarray:
-    """``losses`` as ranks 0..L-1 among their L distinct values, which keep every
-    ``<`` and ``==`` of the elite filter and so every trace, in the narrowest
-    unsigned type whose all-ones value is no rank: it marks pool non-members.
-    The ranks come from ``core.rank_codes``, as in the distance table."""
-    levels, codes = rank_codes(losses)
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if len(levels) <= np.iinfo(t).max)
-    return np.ascontiguousarray(codes, dtype=dtype)
-
-
 def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     """Filter the pools of trials 0..trials-1 down to their winners in
     lockstep over at most ``rows`` working rows. Yields each block of
@@ -212,14 +213,16 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     builds its traces from.
 
     ``by_case`` is the unique loss matrix transposed (C x N) as rank codes
-    (see ``_narrow_losses``). Trial i owns slot i mod ``window``: column
+    (``ErrorMatrix.ranks``). Trial i owns slot i mod ``window``: column
     i mod ``window`` of ``remaining`` and ``sizes``, C entries each. A
     working row holds one running trial: its slot, stream state, undrawn
-    case count ``left`` and pool. A draw swaps the drawn case with the
-    slot's last undrawn one, at flat index ``(left - 1) * window + slot``,
-    as lexicase_select swap-removes it, so the slot's end holds the case
+    case count ``left``, pool, and ``top``, the flat index of the slot's
+    last undrawn case, ``(left - 1) * window + slot``, lowered by
+    ``window`` each step. A draw swaps the drawn case with that one, as
+    lexicase_select swap-removes it, so the slot's end holds the case
     order backwards, and ``sizes`` the pool size after each step at the
-    same places (0 elsewhere).
+    same places (0 elsewhere). ``sizes`` has the type the filters return
+    sizes in, so no step converts them.
     When a trial's pool reaches one row, its working row takes the next
     trial at once, with its own stream state, the full pool and every case
     undrawn; so while trials remain no row is idle, and a run waits for one
@@ -241,6 +244,17 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     working rows, about the cost of filtering every row, or could add more
     pools than rows; from then on it holds each row's own mask row. In both
     forms zeros are the full pool, so rows join and leave alike.
+
+    Once every trial has started and at most ``_TAIL_ROWS`` rows remain,
+    each runs to its end alone, in ``lexicase_select``'s own steps: a
+    ``core.RandomSource`` started at the row's stream state draws each
+    case, so the rejection rule is the reference's; the case is
+    swap-removed at ``top``, the filtered pool's size written there, and
+    the winner and final state stored, as in lockstep. Its draws, slots
+    and outputs are those the lockstep would make, so no trace changes;
+    only the fixed cost of a lockstep step, whatever its rows, is saved on
+    the stragglers. Both paths count finished trials and yield blocks in
+    one loop.
     """
     n_cases, n_unique = by_case.shape
     if n_unique == 1:  # every pool starts at one row: no trial draws a case
@@ -258,8 +272,8 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
     ring_states = rng.substream_states(0, window)  # start states, then final ones
     finished = np.zeros(_RING_BLOCKS, dtype=np.intp)  # per block of slots
     flat_remaining, flat_sizes = remaining.reshape(-1), sizes.reshape(-1)
-    slot = left = pool = np.zeros(0, dtype=np.intp)
-    states = np.zeros(0, dtype=np.uint64)
+    slot = top = pool = np.zeros(0, dtype=np.intp)
+    left = states = np.zeros(0, dtype=np.uint64)
     pools = _Pools(by_case)
     start = admitted = 0  # first trial of the oldest block not yet yielded, and not started
     free = slot  # working rows whose trial has finished
@@ -269,35 +283,54 @@ def _lockstep(by_case: np.ndarray, trials: int, rows: int, rng: RngStream):
             new = np.arange(admitted, admitted + count) % window
             taken = free[:count]
             slot, states = _refill(slot, taken, new), _refill(states, taken, ring_states[new])
-            left = _refill(left, taken, np.full(count, n_cases, dtype=np.intp))
+            left = _refill(left, taken, np.full(count, n_cases, dtype=np.uint64))
+            top = _refill(top, taken, new + (n_cases - 1) * window)
             pool = _refill(pool, taken, np.zeros((count, *pool.shape[1:]), pool.dtype))
             admitted += count
         if free.size > count:  # no trial may take these rows yet
             keep = np.ones(slot.size, dtype=bool)
             keep[free[count:]] = False
-            slot, states, left, pool = slot[keep], states[keep], left[keep], pool[keep]
+            slot, states, left, top, pool = slot[keep], states[keep], left[keep], top[keep], pool[keep]
         if not slot.size:
             return
 
-        last = (left - 1) * window + slot
-        cell = randbelow_array(states, left) * window + slot
-        case = flat_remaining[cell]
-        flat_remaining[cell] = flat_remaining[last]
-        flat_remaining[last] = case
-        moved = pools.move(pool, case, min(slot.size // 4, rows - len(pools.masks))) if pool.ndim == 1 else None
-        if moved is None:
-            pool, size = _elite_filter(by_case, pools.masks[pool] if pool.ndim == 1 else pool, case)
+        if admitted == trials and slot.size <= _TAIL_ROWS:
+            masks = pools.masks[pool] if pool.ndim == 1 else pool
+            for row, (s, state, n, t) in enumerate(zip(slot.tolist(), states.tolist(), left.tolist(), top.tolist())):
+                src, members = RandomSource(state), np.flatnonzero(masks[row] == 0)
+                while len(members) > 1:  # lexicase_select's steps, on the slot
+                    cell = src.randbelow(n) * window + s
+                    case = flat_remaining[cell]
+                    flat_remaining[cell] = flat_remaining[t]
+                    flat_remaining[t] = case
+                    values = by_case[case, members]
+                    members = members[values == values.min()]
+                    flat_sizes[t] = len(members)
+                    n, t = n - 1, t - window
+                winners[s], ring_states[s] = members[0], src._state
+            free, done = np.arange(slot.size), slot
         else:
-            pool, size = moved, pools.sizes[moved]
-        flat_sizes[last] = size
-        left -= 1
+            cell = randbelow_array(states, left)
+            cell *= window
+            cell += slot
+            case = flat_remaining[cell]
+            flat_remaining[cell] = flat_remaining[top]
+            flat_remaining[top] = case
+            moved = pools.move(pool, case, min(slot.size // 4, rows - len(pools.masks))) if pool.ndim == 1 else None
+            if moved is None:
+                pool, size = _elite_filter(by_case, pools.masks[pool] if pool.ndim == 1 else pool, case)
+            else:
+                pool, size = moved, pools.sizes[moved]
+            flat_sizes[top] = size
+            left -= 1
+            top -= window
 
-        free = np.flatnonzero(size == 1)
-        if not free.size:
-            continue
-        done = slot[free]
-        winners[done] = pools.winners[pool[free]] if pool.ndim == 1 else (pool[free] == 0).argmax(axis=1)
-        ring_states[done] = states[free]
+            free = np.flatnonzero(size == 1)
+            if not free.size:
+                continue
+            done = slot[free]
+            winners[done] = pools.winners[pool[free]] if pool.ndim == 1 else (pool[free] == 0).argmax(axis=1)
+            ring_states[done] = states[free]
         finished += np.bincount(done // rows, minlength=_RING_BLOCKS)
         while start < trials and finished[start // rows % _RING_BLOCKS] == min(rows, trials - start):
             finished[start // rows % _RING_BLOCKS] = 0
@@ -320,15 +353,16 @@ class _Pools:
     """The distinct pools that trials reach while they share pool ids, and
     the moves between them: ``moves[p * C + c]`` is the id of pool p
     filtered on case c, or -1 until a trial makes that move. A pool's id is
-    its row in ``masks`` (see ``_elite_filter``), ``sizes`` and ``winners``
-    (its first member, the winner once the pool is one row); equal pools
-    share one id, found by their packed mask bits, and id 0 is the full pool."""
+    its row in ``masks`` and ``sizes`` (as ``_elite_filter`` returns them)
+    and ``winners`` (its first member, the winner once the pool is one row);
+    equal pools share one id, found by their packed mask bits, and id 0 is
+    the full pool."""
 
     def __init__(self, by_case: np.ndarray):
         self.by_case = by_case
         self.n_cases, n_unique = by_case.shape
         self.masks = np.zeros((1, n_unique), dtype=by_case.dtype)
-        self.sizes = np.array([n_unique], dtype=np.int32)
+        self.sizes = np.array([n_unique], dtype=np.min_scalar_type(n_unique))
         self.winners = np.zeros(1, dtype=np.intp)
         self.moves = np.full(self.n_cases, -1, dtype=np.intp)
         self.ids = {np.packbits(self.masks[0] != 0).tobytes(): 0}
@@ -363,12 +397,14 @@ class _Pools:
 
 def _elite_filter(by_case: np.ndarray, pools: np.ndarray, case: np.ndarray):
     """Filter each pool (a mask row, see ``_lockstep``) to its elites on its
-    case; returns the filtered pools' masks and sizes."""
+    case; returns the filtered pools' masks and sizes, in the narrowest type
+    that holds N, that of the runner's size slots."""
     values = by_case[case]
     values |= pools  # a non-member reads all-ones, above every code
     n_unique = by_case.shape[1]
     beaten = (values > values.min(axis=1)[:, None]).view(np.uint8)
-    size = np.subtract(n_unique, np.add.reduce(beaten, axis=1, dtype=_count_dtype(n_unique)), dtype=np.int32)
+    beaten_rows = np.add.reduce(beaten, axis=1, dtype=_count_dtype(n_unique))
+    size = np.subtract(n_unique, beaten_rows, dtype=np.min_scalar_type(n_unique), casting="unsafe")
     return np.negative(beaten, dtype=by_case.dtype), size
 
 

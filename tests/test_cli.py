@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lexibound import bounds, cli
+from lexibound import bounds, cli, core
 from lexibound.core import RngStream, deduplicate, read_matrix_csv, write_matrix_csv
 from lexibound.diversity import similarity_bruteforce
 from lexibound.popgen import gen_clustered, gen_random_uniform, gen_two_cluster
@@ -178,7 +178,7 @@ class TestParser:
     def test_subcommand_help_matches_the_full_parser(self, command):
         def help_text(parser):
             (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-            assert tuple(sub.choices) == cli._COMMANDS
+            assert "{" + ",".join(cli._COMMANDS) + "}" in parser.format_usage()
             return sub.choices[command].format_help()
 
         assert help_text(cli.build_parser(command)) == help_text(cli.build_parser())
@@ -213,6 +213,11 @@ class TestGoldenOutput:
         # the default 10,000 trials: 10 blocks over a ring of 3, so every
         # slot is reset and passed on to the trials a ring later
         "simulate-default.json": ["simulate", "blocks.csv", "--seed", "5", "--check-bound", "--epsilon", "0.15"],
+        # 5 trials, no more than the runner's tail rows: every trial finishes
+        # in scalar steps from its first case
+        "simulate-tail.json": [
+            "simulate", "blocks.csv", "--trials", "5", "--seed", "5", "--check-bound", "--epsilon", "0.15",
+        ],
     }
 
     @pytest.fixture
@@ -599,6 +604,16 @@ class TestInputErrors:
         assert run([command, target, *flag]) == 2
         assert capsys.readouterr().err == f"lexibound: error: {message}\n"
 
+    @pytest.mark.parametrize("flag", [["--epsilon", "0.5"], ["--epsilon-grid", "0.1:0.3:0.1"], ["--budget", "7"]])
+    def test_grid_flag_without_check_bound_exits_2_naming_it(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pop.csv").write_text("0,1\n1,0\n1,1\n")
+        assert run(["simulate", "pop.csv", "--trials", "5", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"lexibound: error: {flag[0]} is read only with --check-bound\n"
+        assert captured.out == ""
+        assert run(["simulate", "pop.csv", "--trials", "5", "--check-bound", *flag]) == 0
+
     def test_bad_epsilon_fails_before_the_trials(self, tmp_path, monkeypatch, capsys):
         def no_trials(*args):
             raise AssertionError("estimate_runtime ran before the epsilon check")
@@ -786,6 +801,16 @@ class TestSimulate:
         assert captured.err.startswith("lexibound: error: bound violated at epsilon [0.5]")
         checks = json.loads(captured.out)["bound_checks"]
         assert [(c["bound"], c["satisfied"]) for c in checks] == [(1.0, False)]
+
+    def test_check_bound_ranks_the_losses_once(self, tmp_path, capsys, monkeypatch):
+        # the distance table and the trials read one rank-code table
+        matrix_path = tmp_path / "c.csv"
+        run(["genpop", "--kind", "clustered", "--n", "40", "--c", "20", "--clusters", "3", "--spread", "0.1",
+             "--seed", "2", "--out", str(matrix_path)])
+        calls, rank_codes = [], core.rank_codes
+        monkeypatch.setattr(core, "rank_codes", lambda values: calls.append(values.shape) or rank_codes(values))
+        assert run(["simulate", str(matrix_path), "--trials", "300", "--check-bound", "--epsilon", "0.3"]) == 0
+        assert calls == [(40, 20)]
 
     def test_determinism(self, tmp_path, capsys):
         matrix_path = tmp_path / "r.csv"

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexibound import engine
-from lexibound.core import KindMismatchError, LossKind, RngStream, deduplicate
+from lexibound import cli, core, engine
+from lexibound.core import KindMismatchError, LossKind, RandomSource, RngStream, deduplicate
 from lexibound.engine import (
     lexicase_select,
     mad_thresholds,
     run_trials,
     static_epsilon_binarize,
 )
-from lexibound.popgen import gen_adversarial_single_case
+from lexibound.popgen import gen_adversarial_single_case, gen_clustered
 
 from conftest import dmatrix, profile, random_rows, rmatrix
 
@@ -386,6 +386,148 @@ class TestRunTrials:
             run_trials(identity_profile(rmatrix([[0.5], [1.5]])), 1, RngStream(0))
 
 
+@contextlib.contextmanager
+def scalar_draws():
+    """The bound of every draw the runner makes on a ``RandomSource``: one
+    per case a trial draws in its scalar finish."""
+    bounds = []
+
+    class Counted(RandomSource):
+        __slots__ = ()
+
+        def randbelow(self, n):
+            bounds.append(n)
+            return super().randbelow(n)
+
+    saved, engine.RandomSource = engine.RandomSource, Counted
+    try:
+        yield bounds
+    finally:
+        engine.RandomSource = saved
+
+
+_MASK64 = 2**64 - 1
+
+
+def _unshift(z, shift):
+    """The inverse of ``z ^= z >> shift`` on 64-bit ints."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def unmix64(z):
+    """The inverse of splitmix64's finalizer ``core._mix64``."""
+    z = _unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & _MASK64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _MASK64
+    return _unshift(z, 30)
+
+
+def oracle_fixture(name):
+    """One of ``verify``'s oracle fixtures at seed 0."""
+    (prof,) = [p for fixture, p, _, _ in cli._oracle_fixtures(0, False) if fixture == name]
+    return prof
+
+
+def stream_starting_at(state):
+    """An RngStream whose substream 0 starts at ``state``: seed 0 mixes to 0,
+    so the start state is mix64(mix64(mix64(stream_index)))."""
+    return RngStream(0, unmix64(unmix64(unmix64(state))))
+
+
+class TestScalarFinish:
+    """Once every trial has started and at most ``_TAIL_ROWS`` working rows
+    remain, each runs to its end in scalar steps; its trace is still
+    ``lexicase_select``'s."""
+
+    @pytest.mark.parametrize("trials", range(1, engine._TAIL_ROWS + 1))
+    @pytest.mark.parametrize("name", ["dominated-triple", "adversarial-4x5", "random-6x6", "clustered-400x100"])
+    def test_every_trial_in_scalar_steps(self, name, trials):
+        if name == "clustered-400x100":  # the simulate-tail golden's profile
+            prof = deduplicate(gen_clustered(400, 100, 8, 0.05, RngStream(3)))
+        else:
+            prof = oracle_fixture(name)
+        rng = RngStream(5, trials)
+        expected = scalar_traces(prof, trials, rng)
+        with scalar_draws() as bounds, counted_filters() as counts:
+            assert runner_traces(prof, trials, rng) == expected
+        assert counts["filters"] == 0  # no lockstep step ran
+        assert bounds == [prof.n_cases - step for t in expected for step in range(len(t.case_order))]
+
+    @pytest.mark.parametrize(
+        "prof, trials",
+        [
+            # a trial runs until case 0 is drawn: 1 to 60 steps
+            (deduplicate(gen_adversarial_single_case(40, 60)), 20),
+            (deduplicate(gen_clustered(400, 100, 8, 0.05, RngStream(3))), 100),
+        ],
+    )
+    def test_stragglers_outlast_admission(self, prof, trials):
+        rng = RngStream(17)
+        expected = scalar_traces(prof, trials, rng)
+        with scalar_draws() as bounds:
+            assert runner_traces(prof, trials, rng) == expected
+        # the last rows ran many steps alone, each after a lockstep start
+        assert len(bounds) >= 50 and max(bounds) < prof.n_cases
+
+    @pytest.mark.parametrize(
+        "fixture, trials, seed", [("adversarial-4x5", 40, 1), ("log-binary-4x3", 12, 2), ("fast-and-slow", 1000, 1)]
+    )
+    def test_finish_from_pool_ids(self, fixture, trials, seed):
+        # two of verify's oracle fixtures and a 12-row profile: rows share
+        # pool ids to the end, and a few rows run on past admission
+        prof = fast_and_slow_profile() if fixture == "fast-and-slow" else oracle_fixture(fixture)
+        expected = scalar_traces(prof, trials, RngStream(seed))
+        with scalar_draws() as bounds, counted_filters() as counts:
+            assert runner_traces(prof, trials, RngStream(seed)) == expected
+        assert counts["per_trial"] == 0 and counts["shared"] > 0
+        assert bounds and max(bounds) < prof.n_cases
+
+    def test_finish_from_pool_masks(self):
+        prof = profile(random_rows(21, 40, 8, 8))
+        expected = scalar_traces(prof, 200, RngStream(5))
+        with scalar_draws() as bounds, counted_filters() as counts:
+            assert runner_traces(prof, 200, RngStream(5)) == expected
+        assert counts["per_trial"] > 0
+        assert bounds and max(bounds) < prof.n_cases
+
+    @pytest.mark.parametrize("block_trials, trials", [(10, 31), (10, 41), (64, 65), (64, 193)])
+    def test_trials_one_past_a_block_boundary(self, block_trials, trials):
+        prof = fast_and_slow_profile()
+        rng = RngStream(3, trials)
+        expected = scalar_traces(prof, trials, rng)
+        with scalar_draws() as bounds:
+            assert runner_traces(prof, trials, rng, block_trials) == expected
+        assert bounds
+
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_rejected_draw_is_redrawn(self, step):
+        # The stream's draw for step ``step`` is 2^64 - 1, which its bound,
+        # 60 - step, rejects, being no power of two: the source must draw
+        # again, as randbelow does.
+        prof = deduplicate(gen_adversarial_single_case(40, 60))
+        state = (unmix64(_MASK64) - (step + 1) * core._GOLDEN) & _MASK64
+        rng = stream_starting_at(state)
+        assert rng.substream(0).source()._state == state
+        src = RandomSource(state)
+        first = [src.randbelow(60 - i) for i in range(step + 1)]
+        assert src._state == (state + (step + 2) * core._GOLDEN) & _MASK64  # one draw rejected
+        assert first[step] != _MASK64 % (60 - step)
+        (trace,) = scalar_traces(prof, 1, rng)
+        assert len(trace.case_order) > step  # the trial reaches the rejected draw
+        with scalar_draws() as bounds:
+            assert runner_traces(prof, 1, rng) == [trace]
+        assert len(bounds) == len(trace.case_order)
+        saved, engine._TAIL_ROWS = engine._TAIL_ROWS, 0  # the lockstep draws alike
+        try:
+            assert runner_traces(prof, 1, rng) == [trace]
+        finally:
+            engine._TAIL_ROWS = saved
+
+
 def levels_profile(n_levels, n_rows, n_cases, seed):
     """A profile with exactly ``n_levels`` distinct losses. The first rows
     hold the levels between 0 and the top loss, each once; the other cells
@@ -428,6 +570,12 @@ class TestRankCodes:
         prof = levels_profile(n_levels, *shape, seed=n_levels)
         assert engine._narrow_losses(prof.unique.losses).dtype == dtype
         assert runner_traces(prof, trials, RngStream(n_levels)) == scalar_traces(prof, trials, RngStream(n_levels))
+
+    def test_matrix_keeps_one_read_only_table(self):
+        matrix = levels_profile(300, 40, 24, seed=3).unique
+        assert matrix.ranks is matrix.ranks and not matrix.ranks.flags.writeable
+        assert matrix.ranks.dtype == np.uint16
+        assert np.array_equal(matrix.ranks, engine._narrow_losses(matrix.losses))
 
 
 class TestBinarize:
